@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
-# Record the serve-transport load benchmark into BENCH_serve.json:
-# sisd_loadgen drives 64 concurrent analyst connections of mixed
-# open/mine/assimilate/history traffic against the same server binary on
-# both socket transports — the epoll event loop (--epoll, fixed worker
-# pool, pipelined requests) and the thread-per-connection baseline
-# (--tcp) — in the same run, recording RPS and client-observed latency
-# percentiles for each plus the throughput ratio.
+# Record the serve load benchmark into BENCH_serve.json: sisd_loadgen
+# drives 64 concurrent analyst connections of mixed
+# open/mine/assimilate/history traffic against the epoll event loop
+# (--epoll, fixed worker pool, pipelined requests), recording RPS and
+# client-observed latency percentiles.
 # Usage: scripts/bench_serve.sh [output.json] [connections] [rounds]
 set -euo pipefail
 
@@ -24,66 +22,47 @@ cmake --build build-bench -j --target sisd_serve_bin sisd_loadgen
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 
-run_transport() { # name transport-flag extra-flags...
-  local name="$1"; shift
-  local flag="$1"; shift
-  ./build-bench/tools/sisd_serve "$flag" 0 \
-    --max-connections "$connections" --threads 1 "$@" \
-    2>"$tmpdir/$name.err" &
-  local srv=$!
-  local port=""
-  for _ in $(seq 1 400); do
-    port=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' \
-      "$tmpdir/$name.err" 2>/dev/null || true)
-    [ -n "$port" ] && break
-    sleep 0.05
-  done
-  [ -n "$port" ] || { echo "error: $name server never announced" >&2; exit 1; }
-  ./build-bench/tools/sisd_loadgen --port "$port" \
-    --connections "$connections" --rounds "$rounds" --pipeline 8 \
-    --output "$tmpdir/$name.json"
-  wait "$srv"
-}
-
-# Same service configuration for both transports; the event loop gets a
-# worker pool sized like the baseline's effective concurrency is not —
-# 4 dispatch workers against one thread per connection.
-run_transport epoll --epoll --workers 4 --queue-capacity 256
-run_transport tcp_baseline --tcp
+./build-bench/tools/sisd_serve --epoll 0 \
+  --max-connections "$connections" --threads 1 \
+  --workers 4 --queue-capacity 256 2>"$tmpdir/epoll.err" &
+srv=$!
+port=""
+for _ in $(seq 1 400); do
+  port=$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' \
+    "$tmpdir/epoll.err" 2>/dev/null || true)
+  [ -n "$port" ] && break
+  sleep 0.05
+done
+[ -n "$port" ] || { echo "error: server never announced" >&2; exit 1; }
+./build-bench/tools/sisd_loadgen --port "$port" \
+  --connections "$connections" --rounds "$rounds" --pipeline 8 \
+  --output "$tmpdir/epoll.json"
+wait "$srv"
 
 python3 - "$tmpdir" "$out" "$connections" "$rounds" <<'EOF'
 import json, os, sys
 tmpdir, out, connections, rounds = sys.argv[1:5]
 
-runs = {}
-for name in ("epoll", "tcp_baseline"):
-    with open(os.path.join(tmpdir, name + ".json")) as f:
-        doc = json.load(f)
-    # Refuse to record numbers from a non-release build.
-    build_type = doc["build_type"]
-    if build_type != "release":
-        sys.exit(f"refusing to record: build_type={build_type!r} "
-                 f"(expected 'release') in {name}")
-    if doc["invalid"] != 0:
-        sys.exit(f"refusing to record: {doc['invalid']} invalid "
-                 f"responses in {name}: {doc.get('first_error')}")
-    runs[name] = doc
+with open(os.path.join(tmpdir, "epoll.json")) as f:
+    epoll = json.load(f)
+# Refuse to record numbers from a non-release build.
+if epoll["build_type"] != "release":
+    sys.exit(f"refusing to record: build_type={epoll['build_type']!r} "
+             f"(expected 'release')")
+if epoll["invalid"] != 0:
+    sys.exit(f"refusing to record: {epoll['invalid']} invalid "
+             f"responses: {epoll.get('first_error')}")
 
-epoll, tcp = runs["epoll"], runs["tcp_baseline"]
 snapshot = {
     "connections": int(connections),
     "rounds": int(rounds),
     "summary": {
         "epoll_rps": round(epoll["rps"], 1),
-        "tcp_baseline_rps": round(tcp["rps"], 1),
-        "epoll_vs_tcp_rps_ratio": round(epoll["rps"] / max(tcp["rps"], 1e-9), 2),
         "epoll_p50_us": epoll["latency"]["p50_us"],
         "epoll_p99_us": epoll["latency"]["p99_us"],
-        "tcp_baseline_p50_us": tcp["latency"]["p50_us"],
-        "tcp_baseline_p99_us": tcp["latency"]["p99_us"],
         "epoll_rejected": epoll["rejected"],
     },
-    "runs": runs,
+    "runs": {"epoll": epoll},
 }
 with open(out, "w") as f:
     json.dump(snapshot, f, indent=2)

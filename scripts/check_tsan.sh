@@ -4,7 +4,7 @@
 # evaluation engine's worker pool (batch_evaluator_test's parallel scoring,
 # thread_invariance_test's multi-threaded mining, beam_search_test), the
 # concurrent session service (serve_hammer_test's interleaved
-# mine/save/evict/close storm, serve_loop_test's TCP transport), and the
+# mine/save/evict/close storm, serve_loop_test's epoll transport), and the
 # shared dataset catalog (catalog_hammer_test's concurrent
 # open/dataset_drop/mine storm over one catalog entry), the epoll
 # event-loop transport (event_loop_hammer_test's pipelined clients racing

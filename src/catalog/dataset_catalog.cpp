@@ -303,7 +303,7 @@ Result<AppendOutcome> DatasetCatalog::Append(const std::string& parent_spec,
         // fingerprint so name-based resolution stays unambiguous.
         for (const auto& [fp, existing_entry] : entries_) {
           if (existing_entry.name == entry.name) {
-            entry.name += "-" + FingerprintToHex(child_fp).substr(0, 8);
+            entry.name.append("-").append(FingerprintToHex(child_fp), 0, 8);
             break;
           }
         }

@@ -4,11 +4,10 @@
 ///
 /// One request per line, one response per line. A request is a flat JSON
 /// object carrying three reserved keys — `id` (optional client-chosen
-/// correlation integer), `verb` (required), `session` (the session name,
-/// required by every verb except `stats` and the catalog verbs
-/// `dataset_load`/`dataset_list`/`dataset_drop`) — plus verb-specific
-/// parameters, which the codec collects into `params` without
-/// interpreting them.
+/// correlation integer), `verb` (required), `session` (the session name;
+/// which verbs require it is the serve layer's verb table) — plus
+/// verb-specific parameters, which the codec collects into `params`
+/// without interpreting them.
 /// A response echoes `id`/`verb`/`session` and carries either
 /// `"ok": true` with a `result` object or `"ok": false` with an
 /// `error: {code, message}` object (codes are `StatusCodeToString` names).
@@ -32,8 +31,8 @@ struct ProtocolRequest {
   /// Client correlation id; echoed verbatim when present.
   int64_t id = 0;
   bool has_id = false;
-  /// The operation: open | mine | assimilate | history | export | save |
-  /// evict | close | stats | dataset_load | dataset_list | dataset_drop.
+  /// The operation: a verb of docs/PROTOCOL.md (the serve layer's verb
+  /// table decides which names exist).
   std::string verb;
   /// Target session name ("" when absent, e.g. for `stats`).
   std::string session;

@@ -35,13 +35,6 @@ using serialize::ProtocolResponse;
 
 namespace {
 
-uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
 Status Errno(const char* what) {
   return Status::IOError(StrFormat("%s: %s", what, std::strerror(errno)));
 }
@@ -424,15 +417,9 @@ class EventLoop {
     if (metrics_ != nullptr) metrics_->OnOversizedLine();
     conn->in_buffer.clear();
     conn->input_stopped = true;
-    const std::string response =
-        serialize::WriteResponseLine(serialize::MakeErrorResponse(
-            ProtocolRequest{},
-            Status::InvalidArgument(
-                StrFormat("request line exceeds the %zu-byte bound",
-                          config_.max_line_bytes))));
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      conn->out_buffer += response;
+      conn->out_buffer += OversizedLineResponse(config_.max_line_bytes);
       conn->close_after_flush = true;
     }
     Rearm(conn);

@@ -1,11 +1,8 @@
 /// \file event_loop_server.hpp
-/// \brief Scalable serve transport: a non-blocking epoll event loop with
-/// a fixed worker pool, pipelined line-JSON requests, per-session
-/// ordering, and bounded-queue admission control.
-///
-/// The thread-per-connection transport (serve/server.hpp) caps
-/// concurrency at thread count and accepts unbounded work; this
-/// transport decouples the two:
+/// \brief The socket serve transport: a non-blocking epoll event loop
+/// with a fixed worker pool, pipelined line-JSON requests, per-session
+/// ordering, and bounded-queue admission control. Concurrency is bounded
+/// by the worker pool, not by the connection count:
 ///
 ///  - **One IO thread.** The calling thread runs an epoll loop over the
 ///    listener and every connection (all sockets non-blocking). Reads

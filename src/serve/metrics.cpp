@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "catalog/dataset_catalog.hpp"
+#include "serve/service.hpp"
 
 namespace sisd::serve {
 
@@ -63,16 +64,12 @@ LatencyHistogram::Summary LatencyHistogram::Summarize() const {
   return summary;
 }
 
-size_t ServeMetrics::VerbSlot(const std::string& verb) {
-  for (size_t i = 0; i + 1 < kNumVerbs; ++i) {
-    if (verb == kVerbs[i]) return i;
-  }
-  return kNumVerbs - 1;  // "invalid"
-}
+ServeMetrics::ServeMetrics() : verbs_(Verbs().size() + 1) {}
 
 void ServeMetrics::RecordRequest(const std::string& verb, bool ok,
                                  uint64_t latency_us) {
-  VerbCounters& slot = verbs_[VerbSlot(verb)];
+  // An unknown verb's index is Verbs().size(): the "invalid" slot.
+  VerbCounters& slot = verbs_[VerbIndex(verb)];
   slot.requests.fetch_add(1, std::memory_order_relaxed);
   if (!ok) slot.errors.fetch_add(1, std::memory_order_relaxed);
   latency_.Record(latency_us);
@@ -168,7 +165,7 @@ size_t ServeMetrics::queue_capacity() const {
 }
 
 uint64_t ServeMetrics::VerbRequests(const std::string& verb) const {
-  return verbs_[VerbSlot(verb)].requests.load(std::memory_order_relaxed);
+  return verbs_[VerbIndex(verb)].requests.load(std::memory_order_relaxed);
 }
 
 serialize::JsonValue EncodeMetrics(const ServeMetrics& metrics,
@@ -179,17 +176,18 @@ serialize::JsonValue EncodeMetrics(const ServeMetrics& metrics,
           JsonValue::Int(static_cast<int64_t>(metrics.requests())));
   out.Set("errors", JsonValue::Int(static_cast<int64_t>(metrics.errors())));
 
-  // Per-verb counts, in kVerbs order, zero-traffic verbs omitted so the
-  // line stays compact.
+  // Per-verb counts, in verb-table order with "invalid" last, zero-traffic
+  // verbs omitted so the line stays compact.
   JsonValue verbs = JsonValue::Object();
-  for (size_t i = 0; i < ServeMetrics::kNumVerbs; ++i) {
-    const char* name = ServeMetrics::kVerbs[i];
+  const auto add_verb = [&](const std::string& name) {
     const uint64_t requests = metrics.VerbRequests(name);
-    if (requests == 0) continue;
+    if (requests == 0) return;
     JsonValue slot = JsonValue::Object();
     slot.Set("count", JsonValue::Int(static_cast<int64_t>(requests)));
     verbs.Set(name, std::move(slot));
-  }
+  };
+  for (const Verb& verb : Verbs()) add_verb(verb.name);
+  add_verb("invalid");
   out.Set("verbs", std::move(verbs));
 
   const LatencyHistogram::Summary latency = metrics.latency().Summarize();

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "serialize/json.hpp"
 
@@ -69,25 +70,16 @@ class LatencyHistogram {
 /// \brief Shared counters of one serve transport (see file comment).
 class ServeMetrics {
  public:
-  /// The fixed verb set tracked per-verb; anything else (unknown verbs,
-  /// lines that never parsed into a request) lands in the final "invalid"
-  /// slot. Order is the encoding order, so `metrics` output is stable.
-  static constexpr const char* kVerbs[] = {
-      "open",           "mine",         "assimilate",   "history",
-      "export",         "save",         "evict",        "close",
-      "stats",          "dataset_load", "dataset_list", "dataset_drop",
-      "dataset_append", "rebase",       "metrics",      "invalid",
-  };
-  static constexpr size_t kNumVerbs = sizeof(kVerbs) / sizeof(kVerbs[0]);
-
-  /// Slot of `verb` in `kVerbs` (the "invalid" slot when unknown).
-  static size_t VerbSlot(const std::string& verb);
+  /// One counter slot per verb of the verb table (`Verbs()`, in its
+  /// order, which is also the encoding order), plus a trailing "invalid"
+  /// slot for unknown verbs and lines that never parsed into a request.
+  ServeMetrics();
 
   /// Records one completed request: verb, success flag, and measured
   /// latency (parse → response bytes ready).
   void RecordRequest(const std::string& verb, bool ok, uint64_t latency_us);
 
-  /// \name Connection gauges (TCP transports).
+  /// \name Connection gauges (event loop).
   /// @{
   void OnConnectionOpened();
   void OnConnectionClosed();
@@ -127,7 +119,7 @@ class ServeMetrics {
     std::atomic<uint64_t> errors{0};
   };
 
-  std::array<VerbCounters, kNumVerbs> verbs_{};
+  std::vector<VerbCounters> verbs_;
   LatencyHistogram latency_;
   std::atomic<uint64_t> live_connections_{0};
   std::atomic<uint64_t> peak_connections_{0};

@@ -1,20 +1,7 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
-#include <chrono>
-#include <cstring>
 #include <istream>
-#include <memory>
 #include <ostream>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/strings.hpp"
 #include "serialize/protocol.hpp"
@@ -25,9 +12,6 @@ namespace sisd::serve {
 using serialize::ProtocolRequest;
 using serialize::ProtocolResponse;
 
-namespace {
-
-/// The one response emitted for a line that exceeded the length bound.
 std::string OversizedLineResponse(size_t max_line_bytes) {
   return serialize::WriteResponseLine(serialize::MakeErrorResponse(
       ProtocolRequest{},
@@ -41,8 +25,6 @@ uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start) {
           std::chrono::steady_clock::now() - start)
           .count());
 }
-
-}  // namespace
 
 RequestOutcome ProcessRequest(SessionManager& manager,
                               const std::string& line,
@@ -72,11 +54,6 @@ RequestOutcome ProcessRequest(SessionManager& manager,
     metrics->RecordRequest(outcome.verb, outcome.ok, ElapsedMicros(start));
   }
   return outcome;
-}
-
-std::string ProcessRequestLine(SessionManager& manager,
-                               const std::string& line) {
-  return ProcessRequest(manager, line).response;
 }
 
 namespace {
@@ -136,160 +113,6 @@ ServeLoopStats ServeStream(SessionManager& manager, std::istream& in,
     out.flush();
   }
   return stats;
-}
-
-namespace {
-
-/// Writes all of `text` to `fd`, retrying short writes.
-bool WriteAll(int fd, const std::string& text) {
-  size_t written = 0;
-  while (written < text.size()) {
-    const ssize_t n =
-        ::write(fd, text.data() + written, text.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-/// Serves one connection: reads bytes, splits on '\n', answers per line.
-/// An over-long line (no newline within the bound) answers one
-/// InvalidArgument response and closes the connection.
-void ServeConnection(SessionManager* manager, int fd, size_t max_line_bytes,
-                     ServeMetrics* metrics) {
-  std::string buffer;
-  char chunk[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<size_t>(n));
-    size_t pos;
-    while ((pos = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, pos);
-      buffer.erase(0, pos + 1);
-      if (line.size() > max_line_bytes) {
-        if (metrics != nullptr) metrics->OnOversizedLine();
-        WriteAll(fd, OversizedLineResponse(max_line_bytes));
-        ::close(fd);
-        return;
-      }
-      const RequestOutcome outcome =
-          ProcessRequest(*manager, line, metrics);
-      if (!outcome.skipped && !WriteAll(fd, outcome.response)) {
-        ::close(fd);
-        return;
-      }
-    }
-    if (buffer.size() > max_line_bytes) {
-      if (metrics != nullptr) metrics->OnOversizedLine();
-      WriteAll(fd, OversizedLineResponse(max_line_bytes));
-      ::close(fd);
-      return;
-    }
-  }
-  // A final unterminated line still gets a response before close.
-  if (!TrimWhitespace(buffer).empty()) {
-    WriteAll(fd, ProcessRequest(*manager, buffer, metrics).response);
-  }
-  ::close(fd);
-}
-
-}  // namespace
-
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                const ServeTcpOptions& options) {
-  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd < 0) {
-    return Status::IOError(StrFormat("socket: %s", std::strerror(errno)));
-  }
-  const int enable = 1;
-  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &enable, sizeof(enable));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) < 0) {
-    const Status status =
-        Status::IOError(StrFormat("bind 127.0.0.1:%d: %s", port,
-                                  std::strerror(errno)));
-    ::close(listen_fd);
-    return status;
-  }
-  socklen_t addr_len = sizeof(addr);
-  if (::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
-                    &addr_len) < 0) {
-    const Status status =
-        Status::IOError(StrFormat("getsockname: %s", std::strerror(errno)));
-    ::close(listen_fd);
-    return status;
-  }
-  if (::listen(listen_fd, 16) < 0) {
-    const Status status =
-        Status::IOError(StrFormat("listen: %s", std::strerror(errno)));
-    ::close(listen_fd);
-    return status;
-  }
-  announce << "listening on 127.0.0.1:" << ntohs(addr.sin_port) << "\n";
-  announce.flush();
-
-  // One thread per connection, reaped as connections finish so a
-  // long-running server does not accumulate terminated-but-unjoined
-  // threads (the vector only ever holds the live connections).
-  struct Connection {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<Connection> connections;
-  const auto reap = [&connections](bool all) {
-    for (size_t i = 0; i < connections.size();) {
-      if (all || connections[i].done->load()) {
-        connections[i].thread.join();
-        if (i + 1 != connections.size()) {
-          connections[i] = std::move(connections.back());
-        }
-        connections.pop_back();
-      } else {
-        ++i;
-      }
-    }
-  };
-  ServeMetrics* metrics = options.metrics;
-  size_t accepted = 0;
-  while (options.max_connections == 0 ||
-         accepted < options.max_connections) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    ++accepted;
-    reap(/*all=*/false);
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    const size_t max_line_bytes = options.max_line_bytes;
-    connections.push_back(
-        {std::thread([&manager, fd, done, max_line_bytes, metrics] {
-           if (metrics != nullptr) metrics->OnConnectionOpened();
-           ServeConnection(&manager, fd, max_line_bytes, metrics);
-           if (metrics != nullptr) metrics->OnConnectionClosed();
-           done->store(true);
-         }),
-         done});
-  }
-  ::close(listen_fd);
-  reap(/*all=*/true);
-  return Status::OK();
-}
-
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                size_t max_connections) {
-  ServeTcpOptions options;
-  options.max_connections = max_connections;
-  return ServeTcp(manager, port, announce, options);
 }
 
 }  // namespace sisd::serve

@@ -1,20 +1,20 @@
 /// \file server.hpp
-/// \brief Transports for the sisd_serve protocol: a line loop over C++
-/// streams (stdio, script files, string streams in tests) and a
-/// loopback-TCP listener with one thread per connection. The scalable
-/// epoll transport lives in serve/event_loop_server.hpp.
+/// \brief The stream transport of the sisd_serve protocol — a line loop
+/// over C++ streams (stdio, script files, string streams in tests) — and
+/// the helpers it shares with the epoll socket transport
+/// (serve/event_loop_server.hpp).
 ///
-/// Both transports funnel through `ProcessRequest`, so every client sees
-/// identical behaviour. Blank lines and lines starting with `#` are
-/// skipped (request scripts can be commented); anything else yields
-/// exactly one newline-terminated response line. Request lines are
-/// bounded: a line longer than `max_line_bytes` (no newline for
-/// megabytes) yields one `InvalidArgument` response and ends the
-/// stream/connection instead of buffering without bound.
+/// Blank lines and lines starting with `#` are skipped (request scripts
+/// can be commented); anything else yields exactly one newline-terminated
+/// response line. Request lines are bounded: a line longer than
+/// `max_line_bytes` (no newline for megabytes) yields one
+/// `InvalidArgument` response and ends the stream/connection instead of
+/// buffering without bound.
 
 #ifndef SISD_SERVE_SERVER_HPP_
 #define SISD_SERVE_SERVER_HPP_
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -47,10 +47,12 @@ RequestOutcome ProcessRequest(SessionManager& manager,
                               const std::string& line,
                               ServeMetrics* metrics = nullptr);
 
-/// \brief Compatibility wrapper: just the wire bytes of `ProcessRequest`
-/// ("" for blank/comment lines).
-std::string ProcessRequestLine(SessionManager& manager,
-                               const std::string& line);
+/// \brief The one response line answered for a request line longer than
+/// `max_line_bytes`; the transport then ends the stream or connection.
+std::string OversizedLineResponse(size_t max_line_bytes);
+
+/// \brief Microseconds elapsed on the steady clock since `start`.
+uint64_t ElapsedMicros(std::chrono::steady_clock::time_point start);
 
 /// \brief Request/error counters of one serve loop.
 struct ServeLoopStats {
@@ -74,28 +76,6 @@ struct ServeStreamOptions {
 ServeLoopStats ServeStream(SessionManager& manager, std::istream& in,
                            std::ostream& out,
                            const ServeStreamOptions& options = {});
-
-/// \brief Thread-per-connection TCP knobs.
-struct ServeTcpOptions {
-  /// Connections accepted before the listener stops and the call
-  /// returns once they finish (0 = serve forever).
-  size_t max_connections = 0;
-  size_t max_line_bytes = kDefaultMaxLineBytes;
-  ServeMetrics* metrics = nullptr;
-};
-
-/// \brief Listens on loopback TCP `port` (0 = ephemeral) and serves each
-/// connection on its own thread against the shared `manager`. Announces
-/// `listening on 127.0.0.1:<port>` to `announce` once bound (parse this
-/// to learn an ephemeral port). This is the pre-event-loop baseline
-/// transport: no pipelining concurrency, no admission control — kept for
-/// comparison benchmarks and small deployments.
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                const ServeTcpOptions& options = {});
-
-/// \brief Back-compat overload (`max_connections` only).
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                size_t max_connections);
 
 }  // namespace sisd::serve
 

@@ -1,6 +1,8 @@
 #include "serve/service.hpp"
 
+#include <iterator>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "catalog/dataset_catalog.hpp"
@@ -50,14 +52,6 @@ Result<std::optional<uint64_t>> ParamGeneration(
     return Status::InvalidArgument("if_generation must be >= 0");
   }
   return std::optional<uint64_t>(static_cast<uint64_t>(*raw));
-}
-
-Status RequireSession(const ProtocolRequest& request) {
-  if (request.session.empty()) {
-    return Status::InvalidArgument("verb '" + request.verb +
-                                   "' needs a 'session' name");
-  }
-  return Status::OK();
 }
 
 /// Applies the `config` override object of an `open` request onto the
@@ -120,9 +114,8 @@ Status ApplyConfigOverrides(const JsonValue& json,
 
 /// Resolves the dataset of an `open` / `dataset_load` request: a built-in
 /// scenario, a CSV file (read through the streaming chunked reader), or
-/// inline CSV text. `verb` only shapes the error message.
-Result<data::Dataset> DatasetFromParams(const ProtocolRequest& request,
-                                        const char* verb) {
+/// inline CSV text.
+Result<data::Dataset> DatasetFromParams(const ProtocolRequest& request) {
   SISD_ASSIGN_OR_RETURN(scenario, ParamString(request, "scenario"));
   SISD_ASSIGN_OR_RETURN(csv_path, ParamString(request, "csv_path"));
   SISD_ASSIGN_OR_RETURN(csv_text, ParamString(request, "csv_text"));
@@ -130,7 +123,7 @@ Result<data::Dataset> DatasetFromParams(const ProtocolRequest& request,
                       int(csv_text.has_value());
   if (sources != 1) {
     return Status::InvalidArgument(
-        std::string(verb) +
+        request.verb +
         " needs exactly one of 'scenario', 'csv_path', 'csv_text'");
   }
   if (scenario.has_value()) {
@@ -212,8 +205,7 @@ JsonValue EncodeSessionInfo(const SessionInfo& info) {
 }
 
 Result<JsonValue> DoOpen(SessionManager& manager,
-                         const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                         const ProtocolRequest& request, ServeMetrics*) {
   core::MinerConfig config;
   if (const JsonValue* overrides = request.params.Find("config")) {
     SISD_RETURN_NOT_OK(ApplyConfigOverrides(*overrides, &config));
@@ -234,7 +226,7 @@ Result<JsonValue> DoOpen(SessionManager& manager,
                               std::move(config)));
     return EncodeSessionInfo(info);
   }
-  SISD_ASSIGN_OR_RETURN(dataset, DatasetFromParams(request, "open"));
+  SISD_ASSIGN_OR_RETURN(dataset, DatasetFromParams(request));
   SISD_ASSIGN_OR_RETURN(info, manager.Open(request.session,
                                            std::move(dataset),
                                            std::move(config)));
@@ -242,8 +234,7 @@ Result<JsonValue> DoOpen(SessionManager& manager,
 }
 
 Result<JsonValue> DoMine(SessionManager& manager,
-                         const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                         const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(iterations_raw, ParamInt(request, "iterations"));
   const int64_t iterations = iterations_raw.value_or(1);
   // Bounded up front so the int64 never truncates through int.
@@ -291,8 +282,7 @@ JsonValue EncodeMineListOutcome(const MineListOutcome& outcome) {
 }
 
 Result<JsonValue> DoMineList(SessionManager& manager,
-                             const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                             const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(rules_raw, ParamInt(request, "rules"));
   const int64_t rules = rules_raw.value_or(1);
   constexpr int64_t kMaxRulesPerRequest = 10000;
@@ -310,8 +300,7 @@ Result<JsonValue> DoMineList(SessionManager& manager,
 }
 
 Result<JsonValue> DoAssimilate(SessionManager& manager,
-                               const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                               const ProtocolRequest& request, ServeMetrics*) {
   const JsonValue* conditions = request.params.Find("conditions");
   if (conditions == nullptr) {
     return Status::InvalidArgument(
@@ -331,8 +320,7 @@ Result<JsonValue> DoAssimilate(SessionManager& manager,
 }
 
 Result<JsonValue> DoHistory(SessionManager& manager,
-                            const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                            const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(history, manager.History(request.session));
   JsonValue result = JsonValue::Object();
   result.Set("iterations",
@@ -346,8 +334,7 @@ Result<JsonValue> DoHistory(SessionManager& manager,
 }
 
 Result<JsonValue> DoExport(SessionManager& manager,
-                           const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                           const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(what, ParamString(request, "what"));
   SISD_ASSIGN_OR_RETURN(iteration_raw, ParamInt(request, "iteration"));
   std::optional<size_t> iteration;
@@ -367,8 +354,7 @@ Result<JsonValue> DoExport(SessionManager& manager,
 }
 
 Result<JsonValue> DoSave(SessionManager& manager,
-                         const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                         const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(path, ParamString(request, "path"));
   SISD_ASSIGN_OR_RETURN(dataset_ref,
                         ParamBool(request, "dataset_ref", false));
@@ -420,8 +406,8 @@ JsonValue EncodeCatalogListing(const catalog::DatasetCatalog& catalog) {
 }
 
 Result<JsonValue> DoDatasetLoad(SessionManager& manager,
-                                const ProtocolRequest& request) {
-  SISD_ASSIGN_OR_RETURN(dataset, DatasetFromParams(request, "dataset_load"));
+                                const ProtocolRequest& request, ServeMetrics*) {
+  SISD_ASSIGN_OR_RETURN(dataset, DatasetFromParams(request));
   SISD_ASSIGN_OR_RETURN(name, ParamString(request, "name"));
   if (name.has_value()) {
     if (name->empty()) {
@@ -451,7 +437,8 @@ Result<JsonValue> DoDatasetLoad(SessionManager& manager,
   return result;
 }
 
-Result<JsonValue> DoDatasetList(SessionManager& manager) {
+Result<JsonValue> DoDatasetList(SessionManager& manager,
+                                const ProtocolRequest&, ServeMetrics*) {
   return EncodeCatalogListing(*manager.catalog());
 }
 
@@ -487,7 +474,8 @@ Result<std::vector<std::vector<data::AppendCell>>> ParseAppendRows(
 }
 
 Result<JsonValue> DoDatasetAppend(SessionManager& manager,
-                                  const ProtocolRequest& request) {
+                                  const ProtocolRequest& request,
+                                  ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(parent, ParamString(request, "dataset"));
   if (!parent.has_value() || parent->empty()) {
     return Status::InvalidArgument(
@@ -548,8 +536,7 @@ Result<JsonValue> DoDatasetAppend(SessionManager& manager,
 }
 
 Result<JsonValue> DoRebase(SessionManager& manager,
-                           const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                           const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(dataset, ParamString(request, "dataset"));
   if (!dataset.has_value() || dataset->empty()) {
     return Status::InvalidArgument(
@@ -577,7 +564,7 @@ Result<JsonValue> DoRebase(SessionManager& manager,
 }
 
 Result<JsonValue> DoDatasetDrop(SessionManager& manager,
-                                const ProtocolRequest& request) {
+                                const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(name, ParamString(request, "dataset"));
   if (!name.has_value() || name->empty()) {
     return Status::InvalidArgument(
@@ -590,8 +577,7 @@ Result<JsonValue> DoDatasetDrop(SessionManager& manager,
 }
 
 Result<JsonValue> DoEvict(SessionManager& manager,
-                          const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                          const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(manager.Evict(request.session));
   JsonValue result = JsonValue::Object();
   result.Set("resident", JsonValue::Bool(false));
@@ -599,8 +585,7 @@ Result<JsonValue> DoEvict(SessionManager& manager,
 }
 
 Result<JsonValue> DoClose(SessionManager& manager,
-                          const ProtocolRequest& request) {
-  SISD_RETURN_NOT_OK(RequireSession(request));
+                          const ProtocolRequest& request, ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(save, ParamBool(request, "save", false));
   SISD_ASSIGN_OR_RETURN(path, ParamString(request, "path"));
   SISD_RETURN_NOT_OK(
@@ -610,17 +595,18 @@ Result<JsonValue> DoClose(SessionManager& manager,
   return result;
 }
 
-Result<JsonValue> DoMetrics(SessionManager& manager,
+Result<JsonValue> DoMetrics(SessionManager& manager, const ProtocolRequest&,
                             ServeMetrics* metrics) {
   if (metrics == nullptr) {
     return Status::Unavailable(
-        "this transport collects no metrics (use the stream, TCP or "
-        "event-loop transport)");
+        "this transport collects no metrics (use the stream or event-loop "
+        "transport)");
   }
   return EncodeMetrics(*metrics, manager.catalog().get());
 }
 
-Result<JsonValue> DoStats(SessionManager& manager) {
+Result<JsonValue> DoStats(SessionManager& manager, const ProtocolRequest&,
+                          ServeMetrics*) {
   const ManagerStats stats = manager.Stats();
   JsonValue result = JsonValue::Object();
   result.Set("sessions", JsonValue::Int(static_cast<int64_t>(stats.sessions)));
@@ -644,7 +630,45 @@ Result<JsonValue> DoStats(SessionManager& manager) {
   return result;
 }
 
+/// The one verb table behind `Verbs()` and `HandleRequest`.
+constexpr Verb kVerbTable[] = {
+    {"open", DoOpen, true},
+    {"mine", DoMine, true},
+    {"mine_list", DoMineList, true},
+    {"assimilate", DoAssimilate, true},
+    {"history", DoHistory, true},
+    {"export", DoExport, true},
+    {"save", DoSave, true},
+    {"evict", DoEvict, true},
+    {"close", DoClose, true},
+    {"stats", DoStats, false},
+    {"metrics", DoMetrics, false},
+    {"dataset_load", DoDatasetLoad, false},
+    {"dataset_list", DoDatasetList, false},
+    {"dataset_drop", DoDatasetDrop, false},
+    {"dataset_append", DoDatasetAppend, false},
+    {"rebase", DoRebase, true},
+};
+
+Status UnknownVerb(const std::string& verb) {
+  std::string expected;
+  for (const Verb& known : kVerbTable) {
+    if (!expected.empty()) expected += '|';
+    expected += known.name;
+  }
+  return Status::InvalidArgument("unknown verb '" + verb + "' (expected " +
+                                 expected + ")");
+}
+
 }  // namespace
+
+std::span<const Verb> Verbs() { return kVerbTable; }
+
+size_t VerbIndex(std::string_view name) {
+  size_t i = 0;
+  while (i < std::size(kVerbTable) && name != kVerbTable[i].name) ++i;
+  return i;
+}
 
 Result<pattern::Intention> ParseConditionSpec(const JsonValue& conditions,
                                               const data::DataTable& table) {
@@ -742,33 +766,14 @@ ProtocolResponse HandleRequest(SessionManager& manager,
                                const ProtocolRequest& request,
                                ServeMetrics* metrics) {
   Result<JsonValue> result = [&]() -> Result<JsonValue> {
-    if (request.verb == "open") return DoOpen(manager, request);
-    if (request.verb == "mine") return DoMine(manager, request);
-    if (request.verb == "mine_list") return DoMineList(manager, request);
-    if (request.verb == "assimilate") return DoAssimilate(manager, request);
-    if (request.verb == "history") return DoHistory(manager, request);
-    if (request.verb == "export") return DoExport(manager, request);
-    if (request.verb == "save") return DoSave(manager, request);
-    if (request.verb == "evict") return DoEvict(manager, request);
-    if (request.verb == "close") return DoClose(manager, request);
-    if (request.verb == "stats") return DoStats(manager);
-    if (request.verb == "metrics") return DoMetrics(manager, metrics);
-    if (request.verb == "dataset_load") {
-      return DoDatasetLoad(manager, request);
+    const size_t index = VerbIndex(request.verb);
+    if (index == std::size(kVerbTable)) return UnknownVerb(request.verb);
+    const Verb& verb = kVerbTable[index];
+    if (verb.needs_session && request.session.empty()) {
+      return Status::InvalidArgument("verb '" + request.verb +
+                                     "' needs a 'session' name");
     }
-    if (request.verb == "dataset_list") return DoDatasetList(manager);
-    if (request.verb == "dataset_drop") {
-      return DoDatasetDrop(manager, request);
-    }
-    if (request.verb == "dataset_append") {
-      return DoDatasetAppend(manager, request);
-    }
-    if (request.verb == "rebase") return DoRebase(manager, request);
-    return Status::InvalidArgument(
-        "unknown verb '" + request.verb +
-        "' (expected open|mine|mine_list|assimilate|history|export|save|"
-        "evict|close|stats|metrics|dataset_load|dataset_list|dataset_drop|"
-        "dataset_append|rebase)");
+    return verb.handler(manager, request, metrics);
   }();
   if (!result.ok()) {
     return serialize::MakeErrorResponse(request, result.status());

@@ -1,6 +1,10 @@
 /// \file service.hpp
 /// \brief Maps protocol requests onto `SessionManager` operations — the
-/// verb dispatch shared by every transport (stdio, TCP, in-process).
+/// verb dispatch shared by every transport (stdio, epoll, in-process).
+///
+/// The verb table (`Verbs()`) is the one list of protocol verbs: dispatch,
+/// the `session` check, the unknown-verb error, the per-verb `metrics`
+/// slots and the `sisd_serve --help` verb line all read it.
 ///
 /// docs/PROTOCOL.md specifies the request/response schema per verb. All
 /// responses are deterministic functions of the request script and the
@@ -11,11 +15,31 @@
 #ifndef SISD_SERVE_SERVICE_HPP_
 #define SISD_SERVE_SERVICE_HPP_
 
+#include <span>
+
 #include "serialize/protocol.hpp"
 #include "serve/metrics.hpp"
 #include "serve/session_manager.hpp"
 
 namespace sisd::serve {
+
+/// \brief One protocol verb: its wire name, its handler, and whether a
+/// request must name a `session` (checked before the handler runs).
+struct Verb {
+  const char* name;
+  Result<serialize::JsonValue> (*handler)(
+      SessionManager& manager, const serialize::ProtocolRequest& request,
+      ServeMetrics* metrics);
+  bool needs_session;
+};
+
+/// \brief The verb table, in the order of the unknown-verb error text and
+/// of the `metrics` payload's per-verb counts.
+std::span<const Verb> Verbs();
+
+/// \brief Index of `name` in `Verbs()`, or `Verbs().size()` when no verb
+/// has that name.
+size_t VerbIndex(std::string_view name);
 
 /// \brief Executes one request against `manager` and returns its response
 /// (errors become `ok:false` responses; this never aborts). The `metrics`

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/strings.hpp"
 #include "random/rng.hpp"
 
 namespace sisd::data {
@@ -238,7 +239,7 @@ TEST_P(CsvRoundTripPropertyTest, RandomTablesSurviveRoundTrip) {
   const size_t rows = 5 + static_cast<size_t>(rng.UniformInt(0, 40));
   const int num_cols = 2 + static_cast<int>(rng.UniformInt(0, 5));
   for (int j = 0; j < num_cols; ++j) {
-    const std::string name = "c" + std::to_string(j);
+    const std::string name = StrFormat("c%d", j);
     switch (rng.UniformInt(0, 2)) {
       case 0: {
         std::vector<double> values(rows);

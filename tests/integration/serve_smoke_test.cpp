@@ -118,8 +118,11 @@ TEST_F(ServeSmokeTest, MisuseFailsLoudly) {
                 Path("missing.jsonl") + " > /dev/null 2>&1"),
             0);
   EXPECT_NE(RunShell(std::string(SISD_SERVE_BIN) +
-                " --tcp notaport > /dev/null 2>&1"),
+                " --epoll notaport > /dev/null 2>&1"),
             0);
+  // --tcp is not a flag; the one socket transport is --epoll.
+  EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) + " --tcp 0 > /dev/null 2>&1"),
+            2);
   // Negative service limits are usage errors, not crashes.
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
                 " --shards -1 > /dev/null 2>&1"),

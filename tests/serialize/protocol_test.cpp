@@ -65,9 +65,7 @@ TEST(ProtocolResponseTest, OkResponseRoundTrips) {
 }
 
 TEST(ProtocolResponseTest, ErrorResponseCarriesCodeAndMessage) {
-  ProtocolRequest request;
-  request.verb = "mine";
-  request.session = "s";
+  const ProtocolRequest request{.verb = "mine", .session = "s"};
   const ProtocolResponse response = MakeErrorResponse(
       request, Status::Conflict("generation mismatch"));
   Result<ProtocolResponse> decoded =

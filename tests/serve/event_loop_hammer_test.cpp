@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "serialize/protocol.hpp"
 #include "serve/session_manager.hpp"
 
@@ -142,7 +143,7 @@ TEST(EventLoopHammerTest, ConcurrentAnalystsWithBackpressure) {
         ++invalid;
         return;
       }
-      const std::string session = "h" + std::to_string(c);
+      const std::string session = StrFormat("h%zu", c);
       // Awaited open; then rounds of pipelined
       // mine+mine_list+metrics+history.
       if (!WriteAll(fd, "{\"id\":1,\"verb\":\"open\",\"session\":\"" +

@@ -3,8 +3,8 @@
 //    mine_list dialogue through ServeStream matches rules mined directly
 //    on a MiningSession, including the snapshot saved mid-script;
 //  - responses are byte-identical across server worker counts;
-//  - the TCP and epoll event-loop transports answer the same script with
-//    the same bytes as the in-process stream transport.
+//  - the epoll event-loop transport answers the same script with the
+//    same bytes as the in-process stream transport.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -236,31 +236,6 @@ std::string ReadToEof(int fd) {
     if (n <= 0) return received;
     received.append(chunk, static_cast<size_t>(n));
   }
-}
-
-TEST(MineListServeTest, TcpTransportAnswersTheSameBytes) {
-  const std::string script = ListScript("");
-  const std::string expected = RunScript(script, ServeConfig{});
-
-  SessionManager manager((ServeConfig()));
-  SyncCaptureBuf announce_buf;
-  std::ostream announce(&announce_buf);
-  std::thread server([&manager, &announce] {
-    const Status status =
-        ServeTcp(manager, /*port=*/0, announce, /*max_connections=*/1);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  });
-  const int port = ParsePort(announce_buf);
-  ASSERT_GT(port, 0) << "server never announced its port";
-  const int fd = ConnectTo(port);
-  ASSERT_GE(fd, 0);
-  ASSERT_TRUE(WriteAll(fd, script));
-  ::shutdown(fd, SHUT_WR);
-  const std::string received = ReadToEof(fd);
-  ::close(fd);
-  server.join();
-  EXPECT_EQ(received, expected)
-      << "TCP transport diverged from the stream transport";
 }
 
 TEST(MineListServeTest, EventLoopTransportAnswersTheSameBytes) {

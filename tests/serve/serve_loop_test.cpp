@@ -5,7 +5,8 @@
 //    snapshot bytes;
 //  - the same script answers byte-identically on 1 worker and N workers;
 //  - blank/comment/malformed lines behave as documented;
-//  - the loopback TCP transport serves the same protocol.
+//  - `metrics` counts every verb of the verb table in its own slot;
+//  - the epoll socket transport answers the same bytes.
 
 #include "serve/server.hpp"
 
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -29,6 +31,8 @@
 #include "datagen/scenarios.hpp"
 #include "serialize/json.hpp"
 #include "serialize/protocol.hpp"
+#include "serve/event_loop_server.hpp"
+#include "serve/service.hpp"
 #include "serve/session_manager.hpp"
 
 namespace sisd::serve {
@@ -318,13 +322,17 @@ class SyncCaptureBuf : public std::streambuf {
   std::string data_;
 };
 
-TEST(ServeLoopTest, TcpTransportServesTheSameProtocol) {
+TEST(ServeLoopTest, EventLoopTransportServesTheSameBytes) {
+  const std::string requests = std::string(kOpenLine) + "\n" +
+                               "{\"id\":2,\"verb\":\"mine\",\"session\":"
+                               "\"s1\"}\n";
   SessionManager manager((ServeConfig()));
   SyncCaptureBuf announce_buf;
   std::ostream announce(&announce_buf);
-  std::thread server([&manager, &announce] {
-    const Status status =
-        ServeTcp(manager, /*port=*/0, announce, /*max_connections=*/1);
+  EventLoopConfig config;
+  config.max_connections = 1;  // drain and return once the client closes
+  std::thread server([&manager, &config, &announce] {
+    const Status status = ServeEventLoop(manager, config, announce);
     EXPECT_TRUE(status.ok()) << status.ToString();
   });
 
@@ -351,9 +359,6 @@ TEST(ServeLoopTest, TcpTransportServesTheSameProtocol) {
   ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
-  const std::string requests = std::string(kOpenLine) + "\n" +
-                               "{\"id\":2,\"verb\":\"mine\",\"session\":"
-                               "\"s1\"}\n";
   ASSERT_EQ(::write(fd, requests.data(), requests.size()),
             static_cast<ssize_t>(requests.size()));
   ::shutdown(fd, SHUT_WR);
@@ -366,72 +371,90 @@ TEST(ServeLoopTest, TcpTransportServesTheSameProtocol) {
   ::close(fd);
   server.join();
 
-  const std::vector<std::string> lines = SplitString(received, '\n');
-  ASSERT_GE(lines.size(), 2u) << received;
-  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
-  // The mined pattern over TCP equals the in-process scripted run.
-  const std::string scripted = RunScript(requests, ServeConfig{});
-  const std::vector<std::string> scripted_lines =
-      SplitString(scripted, '\n');
-  ASSERT_GE(scripted_lines.size(), 2u);
-  EXPECT_EQ(lines[1], scripted_lines[1]);
+  // One session, so per-session ordering makes the reply stream
+  // deterministic: the socket bytes equal the in-process scripted run.
+  EXPECT_EQ(received, RunScript(requests, ServeConfig{}));
 }
 
-TEST(ServeLoopTest, TcpTransportBoundsRequestLineLength) {
-  SessionManager manager((ServeConfig()));
-  SyncCaptureBuf announce_buf;
-  std::ostream announce(&announce_buf);
-  std::thread server([&manager, &announce] {
-    ServeTcpOptions options;
-    options.max_connections = 1;
-    options.max_line_bytes = 128;
-    const Status status = ServeTcp(manager, /*port=*/0, announce, options);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  });
-  int port = 0;
-  for (int i = 0; i < 500 && port == 0; ++i) {
-    const std::string text = announce_buf.Snapshot();
-    const size_t colon = text.rfind(':');
-    if (colon != std::string::npos && text.find('\n') != std::string::npos) {
-      port = std::atoi(text.c_str() + colon + 1);
-    }
-    if (port == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
+TEST(ServeLoopTest, MetricsCountEveryTableVerbOnce) {
+  const std::string save_path = "/tmp/sisd_serve_loop_metrics_save.json";
+  std::remove(save_path.c_str());
+  // A small inline dataset: 'c' = p lifts the target, so mining finds
+  // something and 'c' gives assimilate a categorical level.
+  std::string base_csv = "a,c,y\\n";
+  for (int i = 0; i < 40; ++i) {
+    const char* level = i % 3 == 0 ? "p" : i % 3 == 1 ? "q" : "r";
+    const double y = 0.5 * (i % 10) + (i % 3 == 0 ? 2.0 : 0.0) +
+                     0.1 * ((i * 7) % 5);
+    base_csv += StrFormat("%d,%s,%.2f\\n", i % 10, level, y);
   }
-  ASSERT_GT(port, 0);
+  // One request per verb of the table, in an order where each succeeds.
+  const std::vector<std::string> requests = {
+      "{\"verb\":\"dataset_load\",\"name\":\"base\",\"csv_text\":\"" +
+          base_csv + "\",\"targets\":[\"y\"]}",
+      "{\"verb\":\"dataset_list\"}",
+      "{\"verb\":\"open\",\"session\":\"s1\",\"dataset_ref\":\"base\","
+      "\"config\":{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
+      "\"min_coverage\":5}}",
+      "{\"verb\":\"mine\",\"session\":\"s1\"}",
+      "{\"verb\":\"mine_list\",\"session\":\"s1\"}",
+      "{\"verb\":\"assimilate\",\"session\":\"s1\",\"conditions\":"
+      "[{\"attribute\":\"c\",\"op\":\"=\",\"level\":\"q\"}]}",
+      "{\"verb\":\"history\",\"session\":\"s1\"}",
+      "{\"verb\":\"export\",\"session\":\"s1\"}",
+      "{\"verb\":\"save\",\"session\":\"s1\",\"path\":\"" + save_path +
+          "\"}",
+      "{\"verb\":\"evict\",\"session\":\"s1\"}",
+      "{\"verb\":\"stats\"}",
+      "{\"verb\":\"metrics\"}",
+      "{\"verb\":\"dataset_append\",\"dataset\":\"base\","
+      "\"csv_text\":\"a,c,y\\n3,p,9.5\\n7,r,1.25\\n\"}",
+      "{\"verb\":\"rebase\",\"session\":\"s1\",\"dataset\":\"base@v2\"}",
+      "{\"verb\":\"close\",\"session\":\"s1\"}",
+      "{\"verb\":\"dataset_drop\",\"dataset\":\"base@v2\"}",
+  };
+  // The script covers the table exactly (a new verb must join it).
+  std::set<std::string> scripted;
+  for (const std::string& request : requests) {
+    scripted.insert(serialize::ParseRequestLine(request).Value().verb);
+  }
+  std::set<std::string> table;
+  for (const Verb& verb : Verbs()) table.insert(verb.name);
+  ASSERT_EQ(scripted, table);
+  ASSERT_EQ(requests.size(), Verbs().size());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  // Oversized line, then a valid request that must never be answered.
-  std::string payload(4096, 'x');
-  payload += "\n{\"id\":1,\"verb\":\"stats\"}\n";
-  ASSERT_EQ(::write(fd, payload.data(), payload.size()),
-            static_cast<ssize_t>(payload.size()));
-  std::string received;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    received.append(chunk, static_cast<size_t>(n));
+  std::string script;
+  for (const std::string& request : requests) script += request + "\n";
+  script += "{\"verb\":\"frobnicate\"}\n";
+  script += "not json\n";
+  script += "{\"verb\":\"metrics\"}\n";
+  SessionManager manager((ServeConfig()));
+  std::istringstream in(script);
+  std::ostringstream out;
+  const ServeLoopStats stats = ServeStream(manager, in, out);
+  EXPECT_EQ(stats.errors, 2u) << out.str();
+  std::remove(save_path.c_str());
+
+  const std::vector<std::string> lines = SplitString(out.str(), '\n');
+  ASSERT_GE(lines.size(), requests.size() + 3);
+  Result<serialize::ProtocolResponse> final_metrics =
+      serialize::ParseResponseLine(lines[requests.size() + 2]);
+  ASSERT_TRUE(final_metrics.ok() && final_metrics.Value().ok)
+      << lines[requests.size() + 2];
+  const serialize::JsonValue* verbs =
+      final_metrics.Value().result.Find("verbs");
+  ASSERT_NE(verbs, nullptr);
+  // Every table verb in its own slot, then exactly the two bad lines in
+  // "invalid" (the final metrics request records after it answers).
+  EXPECT_EQ(verbs->size(), Verbs().size() + 1) << verbs->Write();
+  for (const Verb& verb : Verbs()) {
+    const serialize::JsonValue* slot = verbs->Find(verb.name);
+    ASSERT_NE(slot, nullptr) << verb.name << " in " << verbs->Write();
+    EXPECT_EQ(slot->Find("count")->GetInt().ValueOr(-1), 1) << verb.name;
   }
-  ::close(fd);
-  server.join();
-  const std::vector<std::string> lines = SplitString(received, '\n');
-  size_t responses = 0;
-  for (const std::string& line : lines) {
-    if (!line.empty()) ++responses;
-  }
-  ASSERT_EQ(responses, 1u) << "connection answered after the bound: "
-                           << received;
-  EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos);
-  EXPECT_NE(lines[0].find("128-byte bound"), std::string::npos);
+  const serialize::JsonValue* invalid = verbs->Find("invalid");
+  ASSERT_NE(invalid, nullptr) << verbs->Write();
+  EXPECT_EQ(invalid->Find("count")->GetInt().ValueOr(-1), 2);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <string>
 
+#include "common/strings.hpp"
 #include "datagen/scenarios.hpp"
 #include "serialize/json.hpp"
 #include "serve/service.hpp"
@@ -292,7 +293,7 @@ TEST(SessionManagerTest, SixtyFourSessionsShareDatasetAndPoolInstances) {
   constexpr int kSessions = 64;
   for (int i = 0; i < kSessions; ++i) {
     Result<SessionInfo> opened =
-        manager.OpenRef("s" + std::to_string(i), ref, FastConfig());
+        manager.OpenRef(StrFormat("s%d", i), ref, FastConfig());
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   }
   // Exactly one catalog entry with one pool and 64 pins.
@@ -308,7 +309,7 @@ TEST(SessionManagerTest, SixtyFourSessionsShareDatasetAndPoolInstances) {
   const search::ConditionPool* pool_instance = nullptr;
   for (int i = 0; i < kSessions; ++i) {
     Result<core::MiningSession> clone =
-        manager.CloneSession("s" + std::to_string(i));
+        manager.CloneSession(StrFormat("s%d", i));
     ASSERT_TRUE(clone.ok());
     if (i == 0) {
       dataset_instance = clone.Value().shared_dataset().get();

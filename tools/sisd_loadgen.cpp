@@ -1,7 +1,7 @@
-// sisd_loadgen — load generator for the sisd_serve socket transports.
+// sisd_loadgen — load generator for the sisd_serve socket transport.
 //
 // Drives N concurrent analyst connections against a running server
-// (--tcp or --epoll transport), each pipelining a mixed open / mine /
+// (--epoll transport), each pipelining a mixed open / mine /
 // assimilate / history / close script, validating every response
 // (parse, id correlation, verb echo, status), and measuring
 // client-observed latency per request. The run summary — RPS, latency

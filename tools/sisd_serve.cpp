@@ -1,21 +1,21 @@
 // sisd_serve — concurrent mining-session server.
 //
 // Speaks the line-delimited JSON protocol of docs/PROTOCOL.md over
-// stdin/stdout (default), a request-script file (--script), a loopback
-// TCP socket (--tcp PORT, one thread per connection), or a non-blocking
-// epoll event loop (--epoll PORT, fixed worker pool, pipelined requests,
-// bounded per-session queues). All sessions share one scoring pool and
+// stdin/stdout (default), a request-script file (--script), or a
+// loopback TCP socket served by a non-blocking epoll event loop
+// (--epoll PORT, fixed worker pool, pipelined requests, bounded
+// per-session queues). All sessions share one scoring pool and
 // at most --max-resident of them stay in memory; colder ones spill to
 // --spill-dir snapshots and restore transparently.
 //
 //   sisd_serve                              # stdio, defaults
 //   sisd_serve --script requests.jsonl      # scripted run (CI smoke)
-//   sisd_serve --tcp 0 --spill-dir /tmp/s   # ephemeral port, disk spill
-//   sisd_serve --epoll 0 --workers 4        # event loop, 4 workers
+//   sisd_serve --epoll 0 --workers 4        # ephemeral port, 4 workers
+//   sisd_serve --epoll 0 --spill-dir /tmp/s # event loop, disk spill
 //
-// Responses go to stdout only; diagnostics (banner, the TCP listen line)
+// Responses go to stdout only; diagnostics (banner, the listen line)
 // go to stderr, so stdout is byte-for-byte the protocol transcript.
-// SIGTERM/SIGINT start a graceful drain on the socket transports:
+// SIGTERM/SIGINT start a graceful drain on the socket transport:
 // the listener stops, in-flight requests finish and flush, then exit.
 
 #include <csignal>
@@ -23,9 +23,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,15 +47,13 @@ namespace {
 constexpr const char* kUsage = R"(sisd_serve — concurrent subgroup-discovery session server
 
 USAGE
-  sisd_serve [--script FILE] [--tcp PORT [--accept-once]]
-             [--epoll PORT] [options]
+  sisd_serve [--script FILE] [--epoll PORT [--accept-once]] [options]
 
 TRANSPORT
   (default)          read requests from stdin, answer on stdout
   --script FILE      read requests from FILE instead of stdin
-  --tcp PORT         serve loopback TCP, one thread per connection (0 =
-                     ephemeral port; the port is announced on stderr)
-  --epoll PORT       serve loopback TCP on a non-blocking event loop:
+  --epoll PORT       serve loopback TCP on a non-blocking event loop (0 =
+                     ephemeral port; the port is announced on stderr):
                      pipelined requests, a fixed worker pool, bounded
                      per-session queues (overflow answers Unavailable),
                      graceful drain on SIGTERM
@@ -67,8 +67,7 @@ EVENT-LOOP OPTIONS (--epoll)
                      rejected with Unavailable (default 64)
   --max-connections N
                      total connections accepted before the server drains
-                     and exits (default 0 = serve until SIGTERM); also
-                     honoured by --tcp
+                     and exits (default 0 = serve until SIGTERM)
 
 SERVICE OPTIONS
   --max-resident N   sessions kept in memory before LRU spill (default 64)
@@ -87,15 +86,30 @@ SERVICE OPTIONS
                      through the streaming chunked reader); sessions then
                      open it with {"dataset_ref": NAME} and share one
                      dataset + condition pool.
-
-PROTOCOL
-  One JSON request per line; verbs: open, mine, assimilate, history,
-  export, save, evict, close, stats, metrics, dataset_load, dataset_list,
-  dataset_drop. See docs/PROTOCOL.md for the full schema and worked
-  examples.
 )";
 
-/// Set from the SIGTERM/SIGINT handler; polled by the socket transports.
+/// Prints the usage text; its verb list is read from the verb table.
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out, "%s\nPROTOCOL\n  One JSON request per line; verbs:\n ",
+               kUsage);
+  const std::span<const serve::Verb> verbs = serve::Verbs();
+  size_t column = 1;
+  for (size_t i = 0; i < verbs.size(); ++i) {
+    const size_t width = std::strlen(verbs[i].name) + 2;  // " name,"
+    if (column + width > 76) {
+      std::fprintf(out, "\n ");
+      column = 1;
+    }
+    std::fprintf(out, " %s%c", verbs[i].name,
+                 i + 1 < verbs.size() ? ',' : '.');
+    column += width;
+  }
+  std::fprintf(out,
+               "\n  See docs/PROTOCOL.md for the full schema and worked "
+               "examples.\n");
+}
+
+/// Set from the SIGTERM/SIGINT handler; polled by the event loop.
 std::atomic<bool> g_shutdown{false};
 
 void OnTerminate(int) { g_shutdown.store(true); }
@@ -103,7 +117,6 @@ void OnTerminate(int) { g_shutdown.store(true); }
 struct ServeArgs {
   serve::ServeConfig config;
   std::optional<std::string> script;
-  std::optional<int> tcp_port;
   std::optional<int> epoll_port;
   bool accept_once = false;
   size_t workers = 2;
@@ -140,13 +153,12 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
     const std::string value = argv[++i];
     if (flag == "--script") {
       args.script = value;
-    } else if (flag == "--tcp" || flag == "--epoll") {
+    } else if (flag == "--epoll") {
       SISD_ASSIGN_OR_RETURN(port, ParseIntFlag(flag, value));
       if (port < 0 || port > 65535) {
-        return Status::InvalidArgument(flag +
-                                       " expects a port in 0..65535");
+        return Status::InvalidArgument("--epoll expects a port in 0..65535");
       }
-      (flag == "--tcp" ? args.tcp_port : args.epoll_port) = int(port);
+      args.epoll_port = int(port);
     } else if (flag == "--workers") {
       SISD_ASSIGN_OR_RETURN(n, ParseIntFlag(flag, value));
       if (n < 1 || n > 256) {
@@ -206,9 +218,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag '" + flag + "'");
     }
   }
-  if (args.tcp_port.has_value() && args.epoll_port.has_value()) {
-    return Status::InvalidArgument("--tcp and --epoll are exclusive");
-  }
   return args;
 }
 
@@ -216,14 +225,14 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
-      std::printf("%s", kUsage);
+      PrintUsage(stdout);
       return 0;
     }
   }
   Result<ServeArgs> parsed = ParseArgs(argc, argv);
   if (!parsed.ok()) {
-    std::fprintf(stderr, "error: %s\n\n%s",
-                 parsed.status().message().c_str(), kUsage);
+    std::fprintf(stderr, "error: %s\n\n", parsed.status().message().c_str());
+    PrintUsage(stderr);
     return 2;
   }
   const ServeArgs& args = parsed.Value();
@@ -253,29 +262,18 @@ int Main(int argc, char** argv) {
                    ? "<memory>"
                    : args.config.spill_dir.c_str());
 
-  if (args.tcp_port.has_value() || args.epoll_port.has_value()) {
+  if (args.epoll_port.has_value()) {
     std::signal(SIGTERM, OnTerminate);
     std::signal(SIGINT, OnTerminate);
     serve::ServeMetrics metrics;
-    Status status;
-    if (args.epoll_port.has_value()) {
-      serve::EventLoopConfig config;
-      config.port = *args.epoll_port;
-      config.num_workers = args.workers;
-      config.queue_capacity = args.queue_capacity;
-      config.max_line_bytes = args.max_line_bytes;
-      config.max_connections =
-          args.accept_once ? 1 : args.max_connections;
-      status = serve::ServeEventLoop(manager, config, std::cerr, &metrics,
-                                     &g_shutdown);
-    } else {
-      serve::ServeTcpOptions options;
-      options.max_connections =
-          args.accept_once ? 1 : args.max_connections;
-      options.max_line_bytes = args.max_line_bytes;
-      options.metrics = &metrics;
-      status = serve::ServeTcp(manager, *args.tcp_port, std::cerr, options);
-    }
+    serve::EventLoopConfig config;
+    config.port = *args.epoll_port;
+    config.num_workers = args.workers;
+    config.queue_capacity = args.queue_capacity;
+    config.max_line_bytes = args.max_line_bytes;
+    config.max_connections = args.accept_once ? 1 : args.max_connections;
+    const Status status = serve::ServeEventLoop(manager, config, std::cerr,
+                                                &metrics, &g_shutdown);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
