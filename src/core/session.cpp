@@ -37,6 +37,8 @@ Result<MiningSession> MiningSession::Create(data::Dataset dataset,
 
 Result<MiningSession> MiningSession::Create(
     std::shared_ptr<const data::Dataset> dataset, MinerConfig config) {
+  // Checked before the pool build, which aborts on a split count below 1.
+  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
   std::shared_ptr<const search::ConditionPool> pool;
   if (dataset != nullptr) {
     pool = std::make_shared<const search::ConditionPool>(
@@ -58,6 +60,7 @@ Result<MiningSession> MiningSession::Create(
   if (!pool) {
     return Status::InvalidArgument("session needs a non-null condition pool");
   }
+  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
   SISD_RETURN_NOT_OK(dataset->Validate());
   if (dataset->num_rows() < 2) {
     return Status::InvalidArgument("dataset needs at least two rows");
@@ -457,6 +460,8 @@ Result<MiningSession> MiningSession::RestoreFromString(
 
   SISD_ASSIGN_OR_RETURN(config_json, root.Get("config"));
   SISD_ASSIGN_OR_RETURN(config, DecodeMinerConfig(*config_json));
+  // The session below is built directly, not through `Create`.
+  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
 
   // The dataset is stored inline (self-contained snapshot) or as a
   // `dataset_ref` the catalog resolves; a catalog also lets an inline

@@ -18,6 +18,11 @@ Result<int64_t> GetIntField(const JsonValue& json, const char* key) {
   return field->GetInt();
 }
 
+Result<int> GetInt32Field(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetInt32();
+}
+
 Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
   SISD_ASSIGN_OR_RETURN(field, json.Get(key));
   return field->GetSize();
@@ -46,12 +51,12 @@ JsonValue EncodeSearchConfig(const search::SearchConfig& config) {
 
 Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
   search::SearchConfig out;
-  SISD_ASSIGN_OR_RETURN(beam_width, GetIntField(json, "beam_width"));
-  out.beam_width = int(beam_width);
-  SISD_ASSIGN_OR_RETURN(max_depth, GetIntField(json, "max_depth"));
-  out.max_depth = int(max_depth);
-  SISD_ASSIGN_OR_RETURN(splits, GetIntField(json, "num_split_points"));
-  out.num_split_points = int(splits);
+  SISD_ASSIGN_OR_RETURN(beam_width, GetInt32Field(json, "beam_width"));
+  out.beam_width = beam_width;
+  SISD_ASSIGN_OR_RETURN(max_depth, GetInt32Field(json, "max_depth"));
+  out.max_depth = max_depth;
+  SISD_ASSIGN_OR_RETURN(splits, GetInt32Field(json, "num_split_points"));
+  out.num_split_points = splits;
   // Additive schema field. Snapshots written before the flag existed came
   // from builds whose pool unconditionally emitted != exclusions, so an
   // absent field must decode to `true` — otherwise a restored session
@@ -72,8 +77,8 @@ Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
   out.max_coverage_fraction = max_fraction;
   SISD_ASSIGN_OR_RETURN(budget, GetDoubleField(json, "time_budget_seconds"));
   out.time_budget_seconds = budget;
-  SISD_ASSIGN_OR_RETURN(threads, GetIntField(json, "num_threads"));
-  out.num_threads = int(threads);
+  SISD_ASSIGN_OR_RETURN(threads, GetInt32Field(json, "num_threads"));
+  out.num_threads = threads;
   return out;
 }
 
@@ -95,10 +100,12 @@ JsonValue EncodeOptimizerConfig(
 Result<optimize::SphereOptimizerConfig> DecodeOptimizerConfig(
     const JsonValue& json) {
   optimize::SphereOptimizerConfig out;
-  SISD_ASSIGN_OR_RETURN(max_iterations, GetIntField(json, "max_iterations"));
-  out.max_iterations = int(max_iterations);
-  SISD_ASSIGN_OR_RETURN(max_backtracks, GetIntField(json, "max_backtracks"));
-  out.max_backtracks = int(max_backtracks);
+  SISD_ASSIGN_OR_RETURN(max_iterations,
+                        GetInt32Field(json, "max_iterations"));
+  out.max_iterations = max_iterations;
+  SISD_ASSIGN_OR_RETURN(max_backtracks,
+                        GetInt32Field(json, "max_backtracks"));
+  out.max_backtracks = max_backtracks;
   SISD_ASSIGN_OR_RETURN(tolerance,
                         GetDoubleField(json, "gradient_tolerance"));
   out.gradient_tolerance = tolerance;
@@ -106,8 +113,8 @@ Result<optimize::SphereOptimizerConfig> DecodeOptimizerConfig(
   out.armijo_c1 = armijo;
   SISD_ASSIGN_OR_RETURN(step, GetDoubleField(json, "initial_step"));
   out.initial_step = step;
-  SISD_ASSIGN_OR_RETURN(starts, GetIntField(json, "num_random_starts"));
-  out.num_random_starts = int(starts);
+  SISD_ASSIGN_OR_RETURN(starts, GetInt32Field(json, "num_random_starts"));
+  out.num_random_starts = starts;
   SISD_ASSIGN_OR_RETURN(seed, GetIntField(json, "seed"));
   out.seed = uint64_t(seed);
   return out;
@@ -245,8 +252,8 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   } else {
     return Status::InvalidArgument("unknown pattern mix '" + mix + "'");
   }
-  SISD_ASSIGN_OR_RETURN(sparsity, GetIntField(json, "spread_sparsity"));
-  out.spread_sparsity = int(sparsity);
+  SISD_ASSIGN_OR_RETURN(sparsity, GetInt32Field(json, "spread_sparsity"));
+  out.spread_sparsity = sparsity;
   SISD_ASSIGN_OR_RETURN(optimizer_json, json.Get("spread_optimizer"));
   SISD_ASSIGN_OR_RETURN(optimizer, DecodeOptimizerConfig(*optimizer_json));
   out.spread_optimizer = optimizer;

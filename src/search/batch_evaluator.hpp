@@ -17,6 +17,7 @@
 #define SISD_SEARCH_BATCH_EVALUATOR_HPP_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pattern/extension.hpp"
@@ -26,6 +27,11 @@ namespace sisd::search {
 
 /// \brief One beam level's candidate set, in deterministic generation order
 /// (parents in beam order, pool conditions in ascending id order).
+///
+/// Every candidate of a level has exactly `depth` conditions, so the
+/// candidates' sorted pool-condition ids live in one flat arena: candidate
+/// `i` owns `ids[i * depth, (i + 1) * depth)`, read through `ids_of(i)`.
+/// No candidate owns a heap object of its own.
 struct CandidateBatch {
   /// A virtual candidate: refine `parents[parent]` with pool condition
   /// `condition`; `count` is the precomputed size of the intersection.
@@ -44,10 +50,16 @@ struct CandidateBatch {
   /// Conditions per candidate at this level (= beam depth).
   size_t depth = 1;
   std::vector<Item> items;
-  /// Sorted pool-condition ids of each candidate (aligned with `items`).
-  std::vector<std::vector<uint32_t>> ids;
+  /// Flat id arena: `depth` sorted pool-condition ids per candidate, in
+  /// `items` order (`ids.size() == items.size() * depth`).
+  std::vector<uint32_t> ids;
 
   size_t size() const { return items.size(); }
+
+  /// Sorted pool-condition ids of candidate `i`.
+  std::span<const uint32_t> ids_of(size_t i) const {
+    return {ids.data() + i * depth, depth};
+  }
 
   const pattern::Extension& parent_extension(const Item& item) const {
     return *parents[item.parent];

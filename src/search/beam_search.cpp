@@ -4,9 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
+#include "common/strings.hpp"
 #include "search/thread_pool.hpp"
 
 namespace sisd::search {
@@ -27,25 +30,88 @@ struct BeamEntry {
   double quality = -std::numeric_limits<double>::infinity();
 };
 
-/// Hash for sorted condition-id vectors (FNV-1a over the bytes).
-struct IdVectorHash {
-  size_t operator()(const std::vector<uint32_t>& ids) const {
-    size_t h = 1469598103934665603ull;
-    for (uint32_t id : ids) {
-      h ^= id;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
 pattern::Intention MakeIntention(const ConditionPool& pool,
-                                 const std::vector<uint32_t>& ids) {
+                                 std::span<const uint32_t> ids) {
   std::vector<pattern::Condition> conditions;
   conditions.reserve(ids.size());
   for (uint32_t id : ids) conditions.push_back(pool.condition(id));
   return pattern::Intention(std::move(conditions));
 }
+
+/// 64-bit hash of a sorted id set (multiply-xorshift per id).
+uint64_t HashIds(std::span<const uint32_t> ids) {
+  uint64_t h = 0x9E3779B97F4A7C15ull ^ ids.size();
+  for (uint32_t id : ids) {
+    h ^= id;
+    h *= 0xBF58476D1CE4E5B9ull;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
+/// Per-level candidate dedup: an open-addressing table of candidate indices
+/// into a batch's flat id arena, probed by a 64-bit hash and confirmed by an
+/// exact compare of the arena slices. Starts small and doubles at 50% load,
+/// so its size follows the candidates actually kept, never parents x pool
+/// (`beam_width` is client-controlled). `Reset` empties it between levels
+/// and keeps the capacity.
+class LevelDedup {
+ public:
+  void Reset() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+  /// Registers candidate `index`, whose `depth` ids sit at
+  /// `arena[index * depth]`. Returns false, registering nothing, when an
+  /// earlier candidate has the same ids.
+  bool Insert(const std::vector<uint32_t>& arena, size_t depth,
+              uint32_t index) {
+    const uint32_t* ids = arena.data() + size_t(index) * depth;
+    const uint64_t hash = HashIds({ids, depth});
+    const size_t mask = slots_.size() - 1;
+    for (size_t s = hash & mask;; s = (s + 1) & mask) {
+      const Slot& slot = slots_[s];
+      if (slot.index == kEmpty) break;
+      if (slot.hash == hash &&
+          std::equal(ids, ids + depth,
+                     arena.data() + size_t(slot.index) * depth)) {
+        return false;
+      }
+    }
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Place({hash, index});
+    ++size_;
+    return true;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  static constexpr size_t kInitialSlots = 1024;  // a power of two
+
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t index = kEmpty;
+  };
+
+  void Place(Slot entry) {
+    const size_t mask = slots_.size() - 1;
+    size_t s = entry.hash & mask;
+    while (slots_[s].index != kEmpty) s = (s + 1) & mask;
+    slots_[s] = entry;
+  }
+
+  void Grow() {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.index != kEmpty) Place(slot);
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(kInitialSlots);
+  size_t size_ = 0;
+};
 
 /// Bounded best-list with canonical-signature dedup.
 class TopList {
@@ -59,20 +125,19 @@ class TopList {
     return entries_.size() < capacity_ || quality > WorstQuality();
   }
 
-  void Offer(const std::vector<uint32_t>& ids,
+  void Offer(std::span<const uint32_t> ids,
              const pattern::Extension& extension, double quality) {
     if (entries_.size() >= capacity_ && quality <= WorstQuality()) return;
-    if (!seen_.insert(ids).second) return;
+    std::vector<uint32_t> condition_ids(ids.begin(), ids.end());
+    if (!seen_.insert(condition_ids).second) return;
     BeamEntry entry;
-    entry.condition_ids = ids;
+    entry.condition_ids = std::move(condition_ids);
     entry.extension = extension;
     entry.quality = quality;
     entries_.push_back(std::move(entry));
     std::push_heap(entries_.begin(), entries_.end(), BetterQuality);
     if (entries_.size() > capacity_) {
       std::pop_heap(entries_.begin(), entries_.end(), BetterQuality);
-      seen_erase_candidates_.push_back(
-          std::move(entries_.back().condition_ids));
       entries_.pop_back();
     }
   }
@@ -101,13 +166,19 @@ class TopList {
                : entries_.front().quality;
   }
 
+  /// Hash for sorted condition-id vectors.
+  struct IdVectorHash {
+    size_t operator()(const std::vector<uint32_t>& ids) const {
+      return size_t(HashIds(ids));
+    }
+  };
+
   size_t capacity_;
   std::vector<BeamEntry> entries_;  // min-heap on quality
-  std::unordered_set<std::vector<uint32_t>, IdVectorHash> seen_;
   // Signatures evicted from the list stay in `seen_` on purpose: an evicted
   // candidate had lower quality than everything kept, so re-offering it can
-  // never improve the list. Kept alive here only to document the decision.
-  std::vector<std::vector<uint32_t>> seen_erase_candidates_;
+  // never improve the list.
+  std::unordered_set<std::vector<uint32_t>, IdVectorHash> seen_;
 };
 
 /// Adapter scoring candidates through a legacy `QualityFunction`. The
@@ -128,7 +199,7 @@ class CallbackEvaluator final : public BatchEvaluator {
       const pattern::Extension extension = pattern::Extension::Intersect(
           batch.parent_extension(item), batch.condition_extension(item));
       const pattern::Intention intention =
-          MakeIntention(*batch.pool, batch.ids[i]);
+          MakeIntention(*batch.pool, batch.ids_of(i));
       scores[i] = (*quality_)(intention, extension);
     }
   }
@@ -138,6 +209,25 @@ class CallbackEvaluator final : public BatchEvaluator {
 };
 
 }  // namespace
+
+Status ValidateSearchConfig(const SearchConfig& config) {
+  for (const auto& [name, value] :
+       {std::pair<const char*, int>{"beam_width", config.beam_width},
+        {"max_depth", config.max_depth},
+        {"num_split_points", config.num_split_points}}) {
+    if (value < 1) {
+      return Status::InvalidArgument(
+          StrFormat("%s must be >= 1 (got %d)", name, value));
+    }
+  }
+  if (!(config.max_coverage_fraction >= 0.0 &&
+        config.max_coverage_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("max_coverage_fraction must be in [0, 1] (got %g)",
+                  config.max_coverage_fraction));
+  }
+  return Status::OK();
+}
 
 SearchResult BeamSearch(const data::DataTable& table,
                         const ConditionPool& pool, const SearchConfig& config,
@@ -179,7 +269,8 @@ SearchResult BeamSearch(const data::DataTable& table,
                                  ? config.time_budget_seconds
                                  : 1e9));
 
-  std::unordered_set<std::vector<uint32_t>, IdVectorHash> evaluated;
+  LevelDedup dedup;
+  std::vector<uint8_t> used_by_parent;
   std::vector<BeamEntry> beam;
   const std::vector<uint32_t> empty_ids;
   const pattern::Extension full_extension(n, /*full=*/true);
@@ -196,7 +287,11 @@ SearchResult BeamSearch(const data::DataTable& table,
     }
 
     // ---- Phase 1: generate this level's candidate batch ----------------
-    // Deterministic order: parents in beam order, conditions ascending.
+    // One serial pass. Deterministic order: parents in beam order,
+    // conditions ascending; a candidate whose id set an earlier one of this
+    // level already has is dropped. Dedup per level is exact: every
+    // level-d candidate has exactly d ids, so candidates of different
+    // levels are never equal.
     CandidateBatch batch;
     batch.pool = &pool;
     batch.depth = static_cast<size_t>(depth);
@@ -213,11 +308,23 @@ SearchResult BeamSearch(const data::DataTable& table,
     }
     if (batch.parents.empty()) break;
 
+    // Only a candidate whose new condition some parent of this level
+    // already uses can have a duplicate: beam entries are distinct id sets
+    // of equal size, so if P + {c} = P' + {c'} for parents P != P', then P'
+    // lies inside P + {c} without being P, and c is in P'. Every other
+    // candidate skips the dedup table.
+    dedup.Reset();
+    used_by_parent.assign(pool.size(), 0);
+    for (const std::vector<uint32_t>* ids : batch.parent_ids) {
+      for (uint32_t id : *ids) used_by_parent[id] = 1;
+    }
     for (uint32_t pi = 0;
          pi < batch.parents.size() && !result.hit_time_budget; ++pi) {
+      const std::vector<uint32_t>& parent_ids = *batch.parent_ids[pi];
+      SISD_DCHECK(parent_ids.size() + 1 == batch.depth);
       // Reconstruct the parent's intention once for the constraint checks.
       const pattern::Intention parent_intention =
-          MakeIntention(pool, *batch.parent_ids[pi]);
+          MakeIntention(pool, parent_ids);
       const pattern::Extension& parent_extension = *batch.parents[pi];
       for (uint32_t cid = 0; cid < pool.size(); ++cid) {
         if ((++generation_ticks & (kCandidateChunk - 1)) == 0 &&
@@ -227,20 +334,33 @@ SearchResult BeamSearch(const data::DataTable& table,
         }
         const pattern::Condition& cond = pool.condition(cid);
         if (!parent_intention.AllowsRefinementWith(cond)) continue;
-        std::vector<uint32_t> ids = *batch.parent_ids[pi];
-        ids.insert(std::upper_bound(ids.begin(), ids.end(), cid), cid);
-        if (!evaluated.insert(ids).second) continue;
-
+        // Filter before the dedup probe: an id set's extension, and so its
+        // count, does not depend on which parent generated it, so every
+        // duplicate of a filtered candidate is filtered too.
         const size_t count = pattern::Extension::IntersectionCount(
             parent_extension, pool.extension(cid));
         if (count < min_coverage || count > max_coverage || count == n) {
           continue;
         }
-        batch.items.push_back(
-            {pi, cid, static_cast<uint32_t>(count)});
-        batch.ids.push_back(std::move(ids));
+        // Append the sorted ids (parent ids with `cid` inserted) to the
+        // arena; take them back off when the set is a duplicate.
+        const size_t offset = batch.ids.size();
+        const auto split =
+            std::upper_bound(parent_ids.begin(), parent_ids.end(), cid);
+        SISD_DCHECK(split == parent_ids.begin() || *(split - 1) != cid);
+        batch.ids.insert(batch.ids.end(), parent_ids.begin(), split);
+        batch.ids.push_back(cid);
+        batch.ids.insert(batch.ids.end(), split, parent_ids.end());
+        if (used_by_parent[cid] &&
+            !dedup.Insert(batch.ids, batch.depth,
+                          static_cast<uint32_t>(batch.items.size()))) {
+          batch.ids.resize(offset);
+          continue;
+        }
+        batch.items.push_back({pi, cid, static_cast<uint32_t>(count)});
       }
     }
+    SISD_DCHECK(batch.ids.size() == batch.items.size() * batch.depth);
 
     // ---- Phase 2: score the batch in chunks ----------------------------
     // Scores land at fixed candidate indices, so parallel scheduling cannot
@@ -304,8 +424,8 @@ SearchResult BeamSearch(const data::DataTable& table,
       const CandidateBatch::Item& item = batch.items[i];
       const pattern::Extension extension = pattern::Extension::Intersect(
           batch.parent_extension(item), batch.condition_extension(item));
-      level_best.Offer(batch.ids[i], extension, q);
-      top_list.Offer(batch.ids[i], extension, q);
+      level_best.Offer(batch.ids_of(i), extension, q);
+      top_list.Offer(batch.ids_of(i), extension, q);
     }
     beam = level_best.SortedDescending();
     if (result.hit_time_budget) break;

@@ -55,6 +55,13 @@ struct SearchConfig {
   int num_threads = 0;
 };
 
+/// \brief Returns InvalidArgument unless `config` can drive a search:
+/// `beam_width`, `max_depth` and `num_split_points` at least 1 and
+/// `max_coverage_fraction` in [0, 1]. Every path that builds a session
+/// from an outside config (a client's `open`, a loaded snapshot) checks it
+/// before building anything.
+Status ValidateSearchConfig(const SearchConfig& config);
+
 /// \brief Quality callback: returns the score of a candidate subgroup.
 /// Return -inf to reject a candidate entirely (it will not enter the beam
 /// nor the result list).

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -409,6 +410,17 @@ Result<size_t> JsonValue::GetSize() const {
     return Status::InvalidArgument("expected a non-negative integer");
   }
   return size_t(int_);
+}
+
+Result<int> JsonValue::GetInt32() const {
+  if (type_ != Type::kInt) return WrongType("int", type_);
+  if (int_ < std::numeric_limits<int>::min() ||
+      int_ > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(
+        StrFormat("integer %lld is out of int range",
+                  static_cast<long long>(int_)));
+  }
+  return static_cast<int>(int_);
 }
 
 void JsonValue::Append(JsonValue element) {

@@ -90,6 +90,8 @@ class JsonValue {
   Result<std::string> GetString() const;
   /// `GetInt` restricted to non-negative values, converted to size_t.
   Result<size_t> GetSize() const;
+  /// `GetInt` restricted to the range of `int` (never wrapped).
+  Result<int> GetInt32() const;
   /// @}
 
   /// \name Array interface.

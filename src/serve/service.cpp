@@ -63,14 +63,14 @@ Status ApplyConfigOverrides(const JsonValue& json,
   }
   for (const auto& [key, value] : json.members()) {
     if (key == "beam_width") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.beam_width = static_cast<int>(v);
+      SISD_ASSIGN_OR_RETURN(v, value.GetInt32());
+      config->search.beam_width = v;
     } else if (key == "max_depth") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.max_depth = static_cast<int>(v);
+      SISD_ASSIGN_OR_RETURN(v, value.GetInt32());
+      config->search.max_depth = v;
     } else if (key == "splits") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.num_split_points = static_cast<int>(v);
+      SISD_ASSIGN_OR_RETURN(v, value.GetInt32());
+      config->search.num_split_points = v;
     } else if (key == "top_k") {
       SISD_ASSIGN_OR_RETURN(v, value.GetSize());
       config->search.top_k = v;
@@ -94,8 +94,8 @@ Status ApplyConfigOverrides(const JsonValue& json,
       config->mix = v ? core::PatternMix::kLocationOnly
                       : core::PatternMix::kLocationAndSpread;
     } else if (key == "spread_sparsity") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->spread_sparsity = static_cast<int>(v);
+      SISD_ASSIGN_OR_RETURN(v, value.GetInt32());
+      config->spread_sparsity = v;
     } else if (key == "exclusions") {
       SISD_ASSIGN_OR_RETURN(v, value.GetBool());
       config->search.include_exclusions = v;

@@ -309,6 +309,12 @@ Result<SessionInfo> SessionManager::OpenRef(const std::string& name,
 Result<SessionInfo> SessionManager::OpenPinned(const std::string& name,
                                                catalog::PinnedDataset pinned,
                                                core::MinerConfig config) {
+  // Checked before the catalog builds a pool from the config.
+  if (Status valid = search::ValidateSearchConfig(config.search);
+      !valid.ok()) {
+    catalog_->Unpin(pinned.fingerprint);
+    return valid;
+  }
   auto entry = std::make_shared<SessionEntry>(name);
   {
     Shard& shard = ShardFor(name);

@@ -134,6 +134,47 @@ TEST(MiningSessionTest, RestoreRejectsForeignAndFutureSnapshots) {
             std::string::npos);
 }
 
+TEST(MiningSessionTest, CreateRejectsSearchConfigsTheSearchCannotRun) {
+  const auto create = [](const MinerConfig& config) {
+    return MiningSession::Create(datagen::MakeSyntheticEmbedded().dataset,
+                                 config);
+  };
+  MinerConfig config = FastConfig();
+  config.search.beam_width = 0;
+  EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  config = FastConfig();
+  config.search.max_depth = -3;
+  EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  config = FastConfig();
+  config.search.num_split_points = 0;
+  EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  config = FastConfig();
+  config.search.max_coverage_fraction =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MiningSessionTest, RestoreRejectsSnapshotsWithInvalidSearchConfig) {
+  // A snapshot's config is client data too: a search setting the search
+  // cannot run, or an int field beyond the int range, fails the load with
+  // InvalidArgument instead of aborting at the first mine or wrapping.
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  const std::string saved = session.Value().SaveToString();
+  const std::string tag = "\"beam_width\":10";
+  ASSERT_NE(saved.find(tag), std::string::npos);
+  for (const std::string bad :
+       {"\"beam_width\":0", "\"beam_width\":-3",
+        "\"beam_width\":4294967297"}) {
+    std::string text = saved;
+    text.replace(text.find(tag), tag.size(), bad);
+    Result<MiningSession> restored = MiningSession::RestoreFromString(text);
+    ASSERT_FALSE(restored.ok()) << bad;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+}
+
 TEST(MiningSessionTest, ConfigRoundTripsThroughSnapshots) {
   MinerConfig config = FastConfig();
   config.mix = PatternMix::kLocationOnly;

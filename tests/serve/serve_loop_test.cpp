@@ -5,6 +5,7 @@
 //    snapshot bytes;
 //  - the same script answers byte-identically on 1 worker and N workers;
 //  - blank/comment/malformed lines behave as documented;
+//  - an `open` whose search config cannot run is rejected, not fatal;
 //  - `metrics` counts every verb of the verb table in its own slot;
 //  - the epoll socket transport answers the same bytes.
 
@@ -222,6 +223,51 @@ TEST(ServeLoopTest, SkipsCommentsAndAnswersMalformedLines) {
   // Out-of-range iteration counts are rejected, never truncated to int.
   EXPECT_NE(lines[3].find("'iterations' must be in 1.."),
             std::string::npos);
+}
+
+TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
+  // Each bad `open` answers InvalidArgument instead of reaching the
+  // search's invariant checks (which abort the process), and an int
+  // override beyond the int range is rejected, never wrapped. The server
+  // keeps serving: the good `open` and `mine` after them succeed.
+  const auto open_with = [](int id, const std::string& config) {
+    return StrFormat("{\"id\":%d,\"verb\":\"open\",\"session\":\"bad\","
+                     "\"scenario\":\"synthetic\",\"config\":{%s}}\n",
+                     id, config.c_str());
+  };
+  std::string script;
+  script += open_with(1, "\"beam_width\":0");
+  script += "{\"id\":2,\"verb\":\"mine\",\"session\":\"bad\"}\n";
+  script += open_with(3, "\"max_depth\":0");
+  script += open_with(4, "\"max_depth\":-3");
+  script += open_with(5, "\"splits\":0");
+  script += open_with(6, "\"beam_width\":4294967297");
+  script += open_with(7, "\"max_coverage_fraction\":2.5");
+  script += std::string(kOpenLine) + "\n";
+  script += "{\"id\":2,\"verb\":\"mine\",\"session\":\"s1\"}\n";
+
+  SessionManager manager((ServeConfig()));
+  std::istringstream in(script);
+  std::ostringstream out;
+  const ServeLoopStats stats = ServeStream(manager, in, out);
+  EXPECT_EQ(stats.requests, 9u);
+  EXPECT_EQ(stats.errors, 7u) << out.str();
+  const std::vector<std::string> lines = SplitString(out.str(), '\n');
+  ASSERT_GE(lines.size(), 9u) << out.str();
+  EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("beam_width must be >= 1"), std::string::npos);
+  // The rejected `open` created no session.
+  EXPECT_NE(lines[1].find("NotFound"), std::string::npos) << lines[1];
+  for (size_t i = 2; i < 6; ++i) {
+    EXPECT_NE(lines[i].find("InvalidArgument"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[5].find("out of int range"), std::string::npos)
+      << lines[5];
+  EXPECT_NE(lines[6].find("InvalidArgument"), std::string::npos) << lines[6];
+  EXPECT_NE(lines[7].find("\"ok\":true"), std::string::npos) << lines[7];
+  EXPECT_NE(MinedLocation(lines[8]), "<error>") << lines[8];
+  EXPECT_EQ(manager.SessionNames(), std::vector<std::string>{"s1"});
 }
 
 TEST(ServeLoopTest, ProcessRequestReturnsStructuredOutcome) {
