@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 
 int main() {
@@ -24,10 +24,10 @@ int main() {
     config.dl.gamma = gamma;
     config.mix = core::PatternMix::kLocationOnly;
     config.search.min_coverage = 5;
-    Result<core::IterativeMiner> miner =
-        core::IterativeMiner::Create(data.dataset, config);
-    miner.status().CheckOK();
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::MiningSession> session =
+        core::MiningSession::Create(data.dataset, config);
+    session.status().CheckOK();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     std::printf("%8.2f %16zu %12.2f %10zu\n", gamma,

@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "model/bernoulli_model.hpp"
 #include "si/interestingness.hpp"
@@ -36,10 +36,10 @@ int main() {
   config.search.max_depth = 2;
   config.search.beam_width = 16;
   config.search.min_coverage = 50;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const auto& top = result.Value().location;
   const auto& ext = top.pattern.subgroup.extension;

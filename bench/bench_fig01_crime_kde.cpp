@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "stats/kde.hpp"
 
@@ -25,10 +25,10 @@ int main() {
   config.mix = core::PatternMix::kLocationOnly;
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::ScoredLocationPattern& top = result.Value().location;
 

@@ -15,8 +15,8 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
 #include "datagen/synthetic.hpp"
+#include "pattern/patterns.hpp"
 #include "si/interestingness.hpp"
 
 int main() {

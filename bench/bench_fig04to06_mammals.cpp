@@ -17,7 +17,7 @@
 
 #include <algorithm>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "si/interestingness.hpp"
 
@@ -32,9 +32,9 @@ int main() {
   config.search.max_depth = 2;
   config.search.beam_width = 16;
   config.search.min_coverage = 50;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
   static const char* kPaperPatterns[3] = {
       "temp_mar <= -1.68 (northern Europe + Alps)",
@@ -44,7 +44,7 @@ int main() {
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Snapshot the model BEFORE mining so the species ranking reflects the
     // surprise at discovery time.
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     const auto& ext = top.pattern.subgroup.extension;

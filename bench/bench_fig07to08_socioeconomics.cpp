@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/gse.hpp"
 #include "stats/special.hpp"
 
@@ -26,9 +26,9 @@ int main() {
   core::MinerConfig config;
   config.spread_sparsity = 2;
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
   static const char* kPaperPatterns[3] = {
       "Children Pop. <= 14.1 (East Germany; LEFT up, all others down)",
@@ -38,7 +38,7 @@ int main() {
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Expected subgroup mean under the model BEFORE this iteration's
     // patterns are assimilated (the "Model" bars of Fig. 8a).
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::IterationResult& it = result.Value();
     const auto& ext = it.location.pattern.subgroup.extension;
@@ -70,7 +70,7 @@ int main() {
       const model::MeanStatisticMarginal before =
           prior.Value().MeanStatMarginal(ext);
       const linalg::Vector after =
-          miner.Value().model().ExpectedSubgroupMean(ext);
+          session.Value().model().ExpectedSubgroupMean(ext);
       std::printf("\n  Fig. 8a: party | observed | model-before | model-after\n");
       for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
         std::printf("    %-11s %7.2f %10.2f %12.2f\n",

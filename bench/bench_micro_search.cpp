@@ -4,13 +4,14 @@
 
 #include "harness/microbench.hpp"
 
-#include "core/miner.hpp"
 #include "datagen/crime.hpp"
 #include "datagen/synthetic.hpp"
 #include "optimize/sphere_optimizer.hpp"
+#include "pattern/patterns.hpp"
 #include "random/rng.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
+#include "si/interestingness.hpp"
 
 namespace {
 

@@ -15,7 +15,7 @@
 
 #include "harness/microbench.hpp"
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
@@ -103,14 +103,14 @@ void BM_MinerMineNext(sisd::bench::State& state) {
 
   size_t evaluated = 0;
   for (auto _ : state) {
-    // Fresh miner per iteration: MineNext mutates the model, and a fixed
+    // Fresh session per iteration: MineNext mutates the model, and a fixed
     // model snapshot keeps iterations comparable.
     state.PauseTiming();
-    Result<core::IterativeMiner> miner =
-        core::IterativeMiner::Create(data.dataset, config);
-    miner.status().CheckOK();
+    Result<core::MiningSession> session =
+        core::MiningSession::Create(data.dataset, config);
+    session.status().CheckOK();
     state.ResumeTiming();
-    Result<core::IterationResult> iteration = miner.Value().MineNext();
+    Result<core::IterationResult> iteration = session.Value().MineNext();
     iteration.status().CheckOK();
     evaluated += iteration.Value().candidates_evaluated;
   }

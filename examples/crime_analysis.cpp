@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "stats/kde.hpp"
 
@@ -44,11 +44,11 @@ int main() {
   config.mix = core::PatternMix::kLocationOnly;
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::ScoredLocationPattern& top = result.Value().location;
 

@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "si/interestingness.hpp"
 
@@ -42,16 +42,16 @@ int main() {
   config.search.beam_width = 16;   // keep the 124-dim search brisk
   config.search.min_coverage = 50;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Snapshot the belief state BEFORE mining: the surprise ranking below
     // must be measured against what the user believed at discovery time
     // (after assimilation the expectation equals the observation).
-    const model::BackgroundModel before = miner.Value().model();
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    const model::BackgroundModel before = session.Value().model();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     std::printf("--- iteration %d ---\n", iteration);

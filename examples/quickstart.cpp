@@ -2,7 +2,7 @@
 //
 // We generate a Communities-&-Crime-shaped dataset (1994 districts, one
 // real-valued target "violent crimes per population", 122 demographic
-// descriptors), build a miner whose background model starts from the
+// descriptors), open a mining session whose background model starts from the
 // empirical mean/covariance (i.e. the user knows the overall statistics,
 // nothing else), and ask for the three most informative subgroups.
 //
@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 
 int main() {
@@ -25,7 +25,7 @@ int main() {
               data.dataset.name.c_str(), data.dataset.num_rows(),
               data.dataset.num_descriptions(), data.dataset.num_targets());
 
-  // 2. Configure the miner. Defaults reproduce the paper's setup: beam
+  // 2. Configure the session. Defaults reproduce the paper's setup: beam
   //    width 40, depth 4, numeric splits at the 1/5..4/5 percentiles,
   //    SI = IC / (0.1 * #conditions + 1).
   core::MinerConfig config;
@@ -33,14 +33,14 @@ int main() {
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
   // 3. Iterate: each call returns the currently most informative pattern
   //    and assimilates it, so the next iteration is non-redundant.
   for (int iteration = 1; iteration <= 3; ++iteration) {
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     std::printf("iteration %d: %s\n", iteration,

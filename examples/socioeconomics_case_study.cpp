@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/gse.hpp"
 
 int main() {
@@ -28,12 +28,12 @@ int main() {
   config.spread_sparsity = 2;  // the paper's interpretability constraint
   config.search.min_coverage = 10;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
   for (int iteration = 1; iteration <= 3; ++iteration) {
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::IterationResult& it = result.Value();
 

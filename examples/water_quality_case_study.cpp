@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/water.hpp"
 
 int main() {
@@ -27,11 +27,11 @@ int main() {
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::IterationResult& it = result.Value();
 

@@ -101,11 +101,6 @@ data::DataTable RankedListTable(const IterationResult& iteration,
   return table;
 }
 
-Status ExportHistoryCsv(const IterativeMiner& miner,
-                        const std::string& path) {
-  return ExportHistoryCsv(miner.session(), path);
-}
-
 Status ExportHistoryCsv(const MiningSession& session,
                         const std::string& path) {
   const data::DataTable table = IterationSummaryTable(

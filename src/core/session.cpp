@@ -144,7 +144,6 @@ Result<IterationResult> MiningSession::MineNext() {
   AttachSpreadPattern(&iteration);
 
   history_.push_back(iteration);
-  Touch();
   return iteration;
 }
 
@@ -186,7 +185,6 @@ Result<IterationResult> MiningSession::AssimilateIntention(
   AttachSpreadPattern(&iteration);
 
   history_.push_back(iteration);
-  Touch();
   return iteration;
 }
 
@@ -224,7 +222,6 @@ Result<ListMineResult> MiningSession::MineList(int max_rules) {
   if (!result.rules.empty()) {
     list_history_.push_back(result);
   }
-  Touch();
   return result;
 }
 
@@ -317,12 +314,14 @@ Result<RebaseOutcome> MiningSession::Rebase(
     fresh.list_history_.push_back(std::move(rewritten));
   }
   *this = std::move(fresh);
-  Touch();
   return outcome;
 }
 
 Result<std::vector<IterationResult>> MiningSession::MineIterations(
     int count) {
+  if (count < 0) {
+    return Status::InvalidArgument("iteration count must be >= 0");
+  }
   std::vector<IterationResult> results;
   results.reserve(static_cast<size_t>(count));
   for (int i = 0; i < count; ++i) {
@@ -348,25 +347,6 @@ Result<ScoredLocationPattern> MiningSession::ScoreIntention(
                                 out.pattern.mean,
                                 out.pattern.subgroup.intention.size(),
                                 config_.dl);
-  return out;
-}
-
-Result<ScoredSpreadPattern> MiningSession::ScoreSpreadForIntention(
-    const pattern::Intention& intention, const linalg::Vector& w) const {
-  pattern::Subgroup subgroup =
-      pattern::Subgroup::FromIntention(dataset_->descriptions, intention);
-  if (subgroup.extension.empty()) {
-    return Status::InvalidArgument("intention matches no rows");
-  }
-  ScoredSpreadPattern out;
-  out.pattern =
-      pattern::SpreadPattern::Compute(std::move(subgroup), dataset_->targets,
-                                      w);
-  out.score = si::ScoreSpread(assimilator_.model(),
-                              out.pattern.subgroup.extension,
-                              out.pattern.direction, out.pattern.variance,
-                              out.pattern.subgroup.intention.size(),
-                              config_.dl);
   return out;
 }
 

@@ -11,14 +11,10 @@
 /// stopped: model parameters, cached factorizations (maintained by rank-one
 /// updates, so their bits are state, not derivable), constraints and history
 /// all round-trip exactly.
-///
-/// `IterativeMiner` (core/miner.hpp) remains as a thin non-owning adapter
-/// over this class for callers that manage dataset lifetime themselves.
 
 #ifndef SISD_CORE_SESSION_HPP_
 #define SISD_CORE_SESSION_HPP_
 
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -196,7 +192,8 @@ class MiningSession {
   /// Runs one mining iteration and assimilates what it finds.
   Result<IterationResult> MineNext();
 
-  /// Runs `count` iterations, stopping early on search failure.
+  /// Runs `count` iterations, stopping early on search failure. Fails with
+  /// InvalidArgument when `count` is negative.
   Result<std::vector<IterationResult>> MineIterations(int count);
 
   /// Extends the session's subgroup list by up to `max_rules` greedily
@@ -302,7 +299,9 @@ class MiningSession {
     return assimilator_;
   }
 
-  /// Mutable assimilator access, e.g. for refit timing studies.
+  /// Mutable assimilator access for callers that compose an iteration's
+  /// stages themselves (the end-to-end benchmark's per-stage trace times
+  /// each assimilation step this way).
   model::PatternAssimilator* mutable_assimilator() { return &assimilator_; }
 
   /// Scores an arbitrary intention as a location pattern under the *current*
@@ -310,11 +309,6 @@ class MiningSession {
   /// Table I). Fails on empty extensions.
   Result<ScoredLocationPattern> ScoreIntention(
       const pattern::Intention& intention) const;
-
-  /// Scores a spread pattern (direction `w`) for an arbitrary intention
-  /// under the current model.
-  Result<ScoredSpreadPattern> ScoreSpreadForIntention(
-      const pattern::Intention& intention, const linalg::Vector& w) const;
 
   /// Finds the best spread direction for a given subgroup under the current
   /// model (without assimilating anything).
@@ -367,7 +361,7 @@ class MiningSession {
     return list_.has_value() ? &*list_ : nullptr;
   }
 
-  /// \name Runtime attachments and activity tracking (not serialized).
+  /// \name Runtime attachments (not serialized).
   /// @{
 
   /// Attaches a shared worker pool: `MineNext` scores through it instead
@@ -383,22 +377,6 @@ class MiningSession {
     return thread_pool_;
   }
 
-  /// When the session last mutated (created, restored, mined or
-  /// assimilated). Monotonic-clock based; not part of the snapshot.
-  std::chrono::steady_clock::time_point last_activity() const {
-    return last_activity_;
-  }
-
-  /// Seconds since `last_activity()`. Diagnostic/ops surface for session
-  /// owners (e.g. a wall-clock idle-expiry policy layered on top); note
-  /// the serve layer's LRU deliberately ranks coldness by a *logical*
-  /// touch clock instead, so its behaviour stays reproducible.
-  double IdleSeconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         last_activity_)
-        .count();
-  }
-
   /// @}
 
  private:
@@ -412,9 +390,6 @@ class MiningSession {
         pool_(std::move(pool)),
         assimilator_(std::move(assimilator)),
         origin_(std::move(origin)) {}
-
-  /// Stamps `last_activity_` now.
-  void Touch() { last_activity_ = std::chrono::steady_clock::now(); }
 
   /// Finds + assimilates the spread pattern for `iteration`'s location
   /// subgroup (no-op for location-only configs). Never fails the
@@ -439,8 +414,6 @@ class MiningSession {
   std::optional<search::SubgroupList> list_;
   std::vector<ListMineResult> list_history_;
   std::shared_ptr<search::ThreadPool> thread_pool_;
-  std::chrono::steady_clock::time_point last_activity_ =
-      std::chrono::steady_clock::now();
 };
 
 }  // namespace sisd::core

@@ -22,13 +22,13 @@ MinerConfig FastConfig() {
 
 TEST(ExportTest, IterationSummaryTableHasOneRowPerIteration) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  ASSERT_TRUE(miner.Value().MineIterations(3).ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.Value().MineIterations(3).ok());
 
   const data::DataTable table = IterationSummaryTable(
-      miner.Value().history(), data.dataset.descriptions,
+      session.Value().history(), data.dataset.descriptions,
       data.dataset.target_names);
   EXPECT_EQ(table.num_rows(), 3u);
   EXPECT_TRUE(table.HasColumn("intention"));
@@ -40,7 +40,7 @@ TEST(ExportTest, IterationSummaryTableHasOneRowPerIteration) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_DOUBLE_EQ(
         si_col->NumericValue(i),
-        miner.Value().history()[i].location.score.si);
+        session.Value().history()[i].location.score.si);
   }
   // Spread direction rendered with target names.
   const data::Column* dir_col =
@@ -50,10 +50,10 @@ TEST(ExportTest, IterationSummaryTableHasOneRowPerIteration) {
 
 TEST(ExportTest, RankedListTableMatchesRankedResults) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
 
   const data::DataTable table =
@@ -67,13 +67,13 @@ TEST(ExportTest, RankedListTableMatchesRankedResults) {
 
 TEST(ExportTest, HistoryCsvRoundTrips) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  ASSERT_TRUE(miner.Value().MineIterations(2).ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.Value().MineIterations(2).ok());
 
   const std::string path = ::testing::TempDir() + "/sisd_history.csv";
-  ASSERT_TRUE(ExportHistoryCsv(miner.Value(), path).ok());
+  ASSERT_TRUE(ExportHistoryCsv(session.Value(), path).ok());
   Result<data::DataTable> parsed = data::ReadCsvFile(path);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed.Value().num_rows(), 2u);

@@ -1,4 +1,4 @@
-#include "core/miner.hpp"
+#include "core/session.hpp"
 
 #include <cmath>
 
@@ -24,16 +24,16 @@ TEST(MinerTest, CreateValidatesDataset) {
   data::Dataset empty;
   empty.targets = linalg::Matrix(1, 1);
   empty.target_names = {"t"};
-  EXPECT_FALSE(IterativeMiner::Create(empty, FastConfig()).ok());
+  EXPECT_FALSE(MiningSession::Create(empty, FastConfig()).ok());
 }
 
 TEST(MinerTest, MinesSyntheticTopPattern) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
 
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok()) << iteration.status().ToString();
   // Top pattern covers one of the planted 40-point clusters via a single
   // condition on its label attribute.
@@ -49,11 +49,11 @@ TEST(MinerTest, MinesSyntheticTopPattern) {
 
 TEST(MinerTest, IterationsProduceDistinctPatterns) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
   Result<std::vector<IterationResult>> iterations =
-      miner.Value().MineIterations(3);
+      session.Value().MineIterations(3);
   ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   ASSERT_EQ(iterations.Value().size(), 3u);
   std::set<std::string> signatures;
@@ -64,22 +64,32 @@ TEST(MinerTest, IterationsProduceDistinctPatterns) {
                     .second)
         << "iterative mining returned a redundant pattern";
   }
-  EXPECT_EQ(miner.Value().history().size(), 3u);
+  EXPECT_EQ(session.Value().history().size(), 3u);
+}
+
+TEST(MinerTest, NegativeIterationCountIsRejected) {
+  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session.Value().MineIterations(-1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(session.Value().history().empty());
 }
 
 TEST(MinerTest, ScoreIntentionTracksModelEvolution) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
 
-  Result<IterationResult> first = miner.Value().MineNext();
+  Result<IterationResult> first = session.Value().MineNext();
   ASSERT_TRUE(first.ok());
   const pattern::Intention top_intention =
       first.Value().location.pattern.subgroup.intention;
   // Scored now (post-assimilation): SI collapsed vs the mined score.
   Result<ScoredLocationPattern> rescored =
-      miner.Value().ScoreIntention(top_intention);
+      session.Value().ScoreIntention(top_intention);
   ASSERT_TRUE(rescored.ok());
   EXPECT_LT(rescored.Value().score.si,
             0.2 * first.Value().location.score.si);
@@ -87,23 +97,23 @@ TEST(MinerTest, ScoreIntentionTracksModelEvolution) {
 
 TEST(MinerTest, ScoreIntentionRejectsEmptyExtension) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
   // a3 = '1' AND a3-with-level-0 is unsatisfiable together with itself;
   // build an intention matching nothing: label attr equals 0 and 1.
   pattern::Intention impossible({pattern::Condition::Equals(0, 0),
                                  pattern::Condition::Equals(0, 1)});
-  EXPECT_FALSE(miner.Value().ScoreIntention(impossible).ok());
+  EXPECT_FALSE(session.Value().ScoreIntention(impossible).ok());
 }
 
 TEST(MinerTest, LocationOnlyModeSkipsSpread) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.mix = PatternMix::kLocationOnly;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   EXPECT_FALSE(iteration.Value().spread.has_value());
 }
@@ -113,18 +123,18 @@ TEST(MinerTest, ExplicitPriorIsRespected) {
   MinerConfig config = FastConfig();
   config.prior_mean = linalg::Vector{10.0, 10.0};  // absurd prior
   config.prior_covariance = linalg::Matrix::Identity(2);
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  EXPECT_EQ(miner.Value().model().MeanOf(0), (linalg::Vector{10.0, 10.0}));
+  Result<MiningSession> session = MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session.Value().model().MeanOf(0), (linalg::Vector{10.0, 10.0}));
 }
 
 TEST(MinerTest, PairSparseSpreadDirection) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.spread_sparsity = 2;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   ASSERT_TRUE(iteration.Value().spread.has_value());
   // With dy = 2 the pair sweep is the full problem; direction still unit.
@@ -133,10 +143,10 @@ TEST(MinerTest, PairSparseSpreadDirection) {
 
 TEST(MinerTest, RankedListIsSortedBySiAndDeduplicated) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   const auto& ranked = iteration.Value().ranked;
   ASSERT_GT(ranked.size(), 1u);
@@ -158,9 +168,9 @@ TEST(MinerTest, TimeBudgetIsReportedThrough) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.search.time_budget_seconds = 0.0;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   // Either nothing was found in time (NotFound) or the result is flagged.
   if (iteration.ok()) {
     EXPECT_TRUE(iteration.Value().hit_time_budget);
@@ -173,9 +183,9 @@ TEST(MinerTest, MinCoverageHonoredInResults) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.search.min_coverage = 60;  // larger than the planted clusters
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   for (const auto& entry : iteration.Value().ranked) {
     EXPECT_GE(entry.pattern.subgroup.Coverage(), 60u);
@@ -184,19 +194,19 @@ TEST(MinerTest, MinCoverageHonoredInResults) {
 
 TEST(MinerTest, ConditionPoolAccessor) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
   // 5 binary attributes x 2 levels = 10 candidate conditions.
-  EXPECT_EQ(miner.Value().condition_pool().size(), 10u);
+  EXPECT_EQ(session.Value().condition_pool().size(), 10u);
 }
 
 TEST(MinerTest, DescribeRendersHumanReadableText) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   const std::string text = iteration.Value().location.Describe(
       data.dataset.descriptions);
@@ -210,10 +220,10 @@ TEST(MinerTest, CandidatesEvaluatedCountsSearchOnly) {
   // reuses the engine's contexts and must not re-enter (and so not
   // double-count) the batch evaluation path.
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session =
+      MiningSession::Create(data.dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
 
   // Reference: the identical search run standalone against the same
@@ -225,7 +235,7 @@ TEST(MinerTest, CandidatesEvaluatedCountsSearchOnly) {
                                         FastConfig().dl);
   const search::SearchResult reference =
       search::BeamSearch(data.dataset.descriptions,
-                         miner.Value().condition_pool(), FastConfig().search,
+                         session.Value().condition_pool(), FastConfig().search,
                          evaluator);
 
   // Equal to the standalone search count: had the miner's ranked-list

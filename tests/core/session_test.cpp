@@ -1,5 +1,5 @@
-/// MiningSession: owning-dataset semantics, equivalence with the legacy
-/// IterativeMiner facade, and snapshot save/restore mechanics.
+/// MiningSession: owning-dataset semantics and snapshot save/restore
+/// mechanics.
 
 #include "core/session.hpp"
 
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
 #include "datagen/synthetic.hpp"
 
 namespace sisd::core {
@@ -27,7 +26,7 @@ MinerConfig FastConfig() {
 
 TEST(MiningSessionTest, OwnsItsDataset) {
   // The dataset handed to Create is moved into the session: no external
-  // object needs to stay alive (the IterativeMiner lifetime trap is gone).
+  // object needs to stay alive.
   Result<MiningSession> session = MiningSession::Create(
       datagen::MakeSyntheticEmbedded().dataset, FastConfig());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
@@ -49,34 +48,6 @@ TEST(MiningSessionTest, SharedDatasetCreateValidates) {
   EXPECT_EQ(session.Value().shared_dataset().get(), dataset.get());
 }
 
-TEST(MiningSessionTest, MatchesLegacyMinerBitForBit) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<MiningSession> session =
-      MiningSession::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(session.ok());
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-
-  for (int i = 0; i < 2; ++i) {
-    Result<IterationResult> from_session = session.Value().MineNext();
-    Result<IterationResult> from_miner = miner.Value().MineNext();
-    ASSERT_TRUE(from_session.ok());
-    ASSERT_TRUE(from_miner.ok());
-    EXPECT_EQ(
-        from_session.Value().location.Describe(data.dataset.descriptions),
-        from_miner.Value().location.Describe(data.dataset.descriptions));
-    ASSERT_EQ(from_session.Value().spread.has_value(),
-              from_miner.Value().spread.has_value());
-    EXPECT_EQ(from_session.Value().spread->Describe(
-                  data.dataset.descriptions),
-              from_miner.Value().spread->Describe(
-                  data.dataset.descriptions));
-    EXPECT_EQ(from_session.Value().candidates_evaluated,
-              from_miner.Value().candidates_evaluated);
-  }
-}
-
 TEST(MiningSessionTest, SnapshotTextRoundTripIsByteIdentical) {
   Result<MiningSession> session = MiningSession::Create(
       datagen::MakeSyntheticEmbedded().dataset, FastConfig());
@@ -92,8 +63,8 @@ TEST(MiningSessionTest, SnapshotTextRoundTripIsByteIdentical) {
   EXPECT_EQ(restored.Value().history().size(), 1u);
   EXPECT_EQ(restored.Value().model().num_groups(),
             session.Value().model().num_groups());
-  EXPECT_EQ(restored.Value().mutable_assimilator()->num_constraints(),
-            session.Value().mutable_assimilator()->num_constraints());
+  EXPECT_EQ(restored.Value().assimilator().num_constraints(),
+            session.Value().assimilator().num_constraints());
   EXPECT_EQ(restored.Value().condition_pool().size(),
             session.Value().condition_pool().size());
 }

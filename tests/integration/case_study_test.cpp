@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "datagen/gse.hpp"
 #include "datagen/water.hpp"
@@ -21,10 +21,10 @@ TEST(CrimeCaseStudyTest, TopPatternIsTheDriverUpperTail) {
   config.search.max_depth = 2;  // keep runtime moderate on 122 attributes
   config.search.beam_width = 20;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Paper §I: top pattern "PctIlleg >= 0.39", 20.5% coverage, mean 0.53 vs
@@ -51,10 +51,10 @@ TEST(GseCaseStudyTest, FirstPatternIsLowChildrenEastWithLeftElevated) {
   core::MinerConfig config;
   config.spread_sparsity = 2;  // the paper's §III-C 2-sparsity constraint
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Top pattern: a low-children condition (paper: "Children Pop. <= 14.1").
@@ -91,10 +91,10 @@ TEST(GseCaseStudyTest, SpreadPatternFindsCduSpdLowVarianceDirection) {
   core::MinerConfig config;
   config.spread_sparsity = 2;
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.Value().spread.has_value());
   const core::ScoredSpreadPattern& spread = *result.Value().spread;
@@ -126,10 +126,10 @@ TEST(WaterCaseStudyTest, TopPatternMatchesBioindicatorSignature) {
   core::MinerConfig config;
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // The subgroup must be pollution-driven: strong overlap with the planted
@@ -157,10 +157,10 @@ TEST(WaterCaseStudyTest, SpreadPatternIsHighVarianceDirection) {
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
   config.spread_optimizer.num_random_starts = 4;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.Value().spread.has_value());
   const core::ScoredSpreadPattern& spread = *result.Value().spread;

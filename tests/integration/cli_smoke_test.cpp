@@ -19,9 +19,10 @@ namespace {
 
 const char kWorkDir[] = "/tmp/sisd_cli_smoke_test";
 
-int RunCli(const std::string& args) {
+int RunCli(const std::string& args,
+           const std::string& output = "/dev/null") {
   const std::string command =
-      std::string(SISD_CLI_BIN) + " " + args + " > /dev/null 2>&1";
+      std::string(SISD_CLI_BIN) + " " + args + " > " + output + " 2>&1";
   const int rc = std::system(command.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
@@ -211,6 +212,19 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
   EXPECT_NE(RunCli("resume --session " + Path("missing.json")), 0);
   EXPECT_NE(RunCli("export --session " + Path("missing.json")), 0);
   EXPECT_NE(RunCli("mine --scenario synthetic --beam-width zero"), 0);
+  // Integers outside the range of the field they set fail naming the flag
+  // instead of narrowing (4294967297 would wrap to 1 in an int).
+  for (const std::string misuse :
+       {"--beam-width 4294967297", "--iterations 4294967297", "--top-k -1",
+        "--min-coverage -1"}) {
+    const std::string flag = misuse.substr(0, misuse.find(' '));
+    EXPECT_NE(RunCli("mine --scenario synthetic " + misuse, Path("out.txt")),
+              0)
+        << misuse;
+    EXPECT_NE(ReadFile(Path("out.txt")).find(flag + " must be in"),
+              std::string::npos)
+        << misuse;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Smoke coverage for the example binaries: each one must run to
 // completion and exit 0, so examples cannot silently rot as the
-// library underneath them evolves. The binary directory is injected
-// by CMake via SISD_EXAMPLES_BIN_DIR.
+// library underneath them evolves. Each also runs under 4 scoring
+// threads and under the scalar kernels, and must print byte-identical
+// stdout every time: mining output never depends on thread count or ISA.
+// The binary directory is injected by CMake via SISD_EXAMPLES_BIN_DIR.
 
 #include <gtest/gtest.h>
 
-#include <array>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #ifndef SISD_EXAMPLES_BIN_DIR
@@ -17,16 +21,32 @@ namespace {
 
 class ExamplesSmokeTest : public ::testing::TestWithParam<const char*> {};
 
-TEST_P(ExamplesSmokeTest, ExitsZero) {
-  const std::string binary =
-      std::string(SISD_EXAMPLES_BIN_DIR) + "/" + GetParam();
-  // Discard stdout: the examples narrate their analyses at length and
-  // that output is not what this test asserts on.
-  const std::string command = binary + " > /dev/null";
+/// Runs example `name` under the environment assignments `env` and
+/// returns its stdout; records a failure unless it exits 0.
+std::string RunExample(const char* name, const std::string& env) {
+  const std::string binary = std::string(SISD_EXAMPLES_BIN_DIR) + "/" + name;
+  const std::string output =
+      ::testing::TempDir() + "/sisd_examples_smoke_stdout.txt";
+  const std::string command = env + " " + binary + " > " + output;
   const int rc = std::system(command.c_str());
-  ASSERT_NE(rc, -1) << "failed to launch " << binary;
-  EXPECT_TRUE(WIFEXITED(rc)) << binary << " terminated abnormally";
-  EXPECT_EQ(WEXITSTATUS(rc), 0) << binary << " exited nonzero";
+  EXPECT_NE(rc, -1) << "failed to launch " << binary;
+  EXPECT_TRUE(WIFEXITED(rc)) << env << " " << binary
+                             << " terminated abnormally";
+  EXPECT_EQ(WEXITSTATUS(rc), 0) << env << " " << binary << " exited nonzero";
+  std::ifstream in(output, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  std::remove(output.c_str());
+  return text.str();
+}
+
+TEST_P(ExamplesSmokeTest, ExitsZeroWithThreadAndIsaInvariantOutput) {
+  const std::string reference = RunExample(GetParam(), "");
+  EXPECT_FALSE(reference.empty());
+  EXPECT_EQ(RunExample(GetParam(), "SISD_THREADS=4"), reference)
+      << GetParam() << " output depends on the thread count";
+  EXPECT_EQ(RunExample(GetParam(), "SISD_KERNELS=scalar"), reference)
+      << GetParam() << " output depends on the kernel ISA";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -163,7 +163,7 @@ TEST(SessionRoundTripTest, RestoredSessionMinesByteIdentically) {
     // Warm-started refit (cyclic descent from the session's current
     // parameters, factors maintained incrementally) must converge to the
     // same joint minimum-KL model as a full from-scratch refit.
-    model::PatternAssimilator warm = *unbroken.Value().mutable_assimilator();
+    model::PatternAssimilator warm = unbroken.Value().assimilator();
     model::PatternAssimilator scratch = warm;
     Result<model::RefitStats> warm_stats = warm.Refit(300, 1e-12);
     ASSERT_TRUE(warm_stats.ok()) << warm_stats.status().ToString();

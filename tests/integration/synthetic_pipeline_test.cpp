@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 
 namespace sisd {
@@ -29,11 +29,11 @@ class SyntheticPipelineTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = datagen::MakeSyntheticEmbedded();
-    Result<core::IterativeMiner> miner =
-        core::IterativeMiner::Create(data_.dataset, PaperConfig());
-    miner.status().CheckOK();
-    miner_ = std::make_unique<core::IterativeMiner>(
-        std::move(miner).MoveValue());
+    Result<core::MiningSession> session =
+        core::MiningSession::Create(data_.dataset, PaperConfig());
+    session.status().CheckOK();
+    session_ = std::make_unique<core::MiningSession>(
+        std::move(session).MoveValue());
   }
 
   /// Which planted cluster (0-2) matches this extension exactly, or -1.
@@ -47,13 +47,13 @@ class SyntheticPipelineTest : public ::testing::Test {
   }
 
   datagen::SyntheticData data_;
-  std::unique_ptr<core::IterativeMiner> miner_;
+  std::unique_ptr<core::MiningSession> session_;
 };
 
 TEST_F(SyntheticPipelineTest, RecoversAllThreeClustersInOrder) {
   std::set<int> found;
   for (int iter = 0; iter < 3; ++iter) {
-    Result<core::IterationResult> result = miner_->MineNext();
+    Result<core::IterationResult> result = session_->MineNext();
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     const int cluster =
         MatchingCluster(result.Value().location.pattern.subgroup.extension);
@@ -77,7 +77,7 @@ TEST_F(SyntheticPipelineTest, SpreadDirectionMatchesPlantedCovarianceAxis) {
   // (main, minor) coordinates, so the found direction must be orthogonal to
   // the planted main axis.
   for (int iter = 0; iter < 3; ++iter) {
-    Result<core::IterationResult> result = miner_->MineNext();
+    Result<core::IterationResult> result = session_->MineNext();
     ASSERT_TRUE(result.ok());
     const int cluster =
         MatchingCluster(result.Value().location.pattern.subgroup.extension);
@@ -100,7 +100,7 @@ TEST_F(SyntheticPipelineTest, SpreadDirectionMatchesPlantedCovarianceAxis) {
 
 TEST_F(SyntheticPipelineTest, TableOneSiCollapseAfterAssimilation) {
   // Mine iteration 1 and remember the top-10 ranked patterns.
-  Result<core::IterationResult> first = miner_->MineNext();
+  Result<core::IterationResult> first = session_->MineNext();
   ASSERT_TRUE(first.ok());
   const size_t kTrack = std::min<size_t>(10, first.Value().ranked.size());
   std::vector<pattern::Intention> tracked;
@@ -117,7 +117,7 @@ TEST_F(SyntheticPipelineTest, TableOneSiCollapseAfterAssimilation) {
   // nearly keep) their SI.
   for (size_t r = 0; r < kTrack; ++r) {
     Result<core::ScoredLocationPattern> rescored =
-        miner_->ScoreIntention(tracked[r]);
+        session_->ScoreIntention(tracked[r]);
     ASSERT_TRUE(rescored.ok());
     const bool same_extension =
         rescored.Value().pattern.subgroup.extension == top_ext;
@@ -133,7 +133,7 @@ TEST_F(SyntheticPipelineTest, TableOneSiCollapseAfterAssimilation) {
 }
 
 TEST_F(SyntheticPipelineTest, RedundantLongerDescriptionsRankLower) {
-  Result<core::IterationResult> first = miner_->MineNext();
+  Result<core::IterationResult> first = session_->MineNext();
   ASSERT_TRUE(first.ok());
   // Find pairs in the ranked list with identical extensions but different
   // description lengths: the shorter one must have strictly higher SI
@@ -164,7 +164,7 @@ TEST_F(SyntheticPipelineTest, RedundantLongerDescriptionsRankLower) {
 TEST_F(SyntheticPipelineTest, FourthIterationHasMuchLowerSi) {
   double si_first = 0.0, si_fourth = 0.0;
   for (int iter = 0; iter < 4; ++iter) {
-    Result<core::IterationResult> result = miner_->MineNext();
+    Result<core::IterationResult> result = session_->MineNext();
     ASSERT_TRUE(result.ok());
     if (iter == 0) si_first = result.Value().location.score.si;
     if (iter == 3) si_fourth = result.Value().location.score.si;
@@ -175,10 +175,10 @@ TEST_F(SyntheticPipelineTest, FourthIterationHasMuchLowerSi) {
 }
 
 TEST_F(SyntheticPipelineTest, DeterministicAcrossRuns) {
-  Result<core::IterativeMiner> other =
-      core::IterativeMiner::Create(data_.dataset, PaperConfig());
+  Result<core::MiningSession> other =
+      core::MiningSession::Create(data_.dataset, PaperConfig());
   ASSERT_TRUE(other.ok());
-  Result<core::IterationResult> a = miner_->MineNext();
+  Result<core::IterationResult> a = session_->MineNext();
   Result<core::IterationResult> b = other.Value().MineNext();
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());

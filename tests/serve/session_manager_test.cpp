@@ -429,18 +429,5 @@ TEST(SessionManagerTest, InlineRestoreAdoptsCatalogInstances) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(SessionManagerTest, IdleSecondsAccessorAdvancesMonotonically) {
-  Result<core::MiningSession> session =
-      core::MiningSession::Create(Synthetic(), FastConfig());
-  ASSERT_TRUE(session.ok());
-  const double idle_before = session.Value().IdleSeconds();
-  EXPECT_GE(idle_before, 0.0);
-  ASSERT_TRUE(session.Value().MineNext().ok());
-  // Mining touched the session: idle time restarted from ~0.
-  EXPECT_GE(session.Value().IdleSeconds(), 0.0);
-  EXPECT_LE(session.Value().last_activity(),
-            std::chrono::steady_clock::now());
-}
-
 }  // namespace
 }  // namespace sisd::serve

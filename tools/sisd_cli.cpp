@@ -37,9 +37,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "catalog/fingerprint.hpp"
@@ -250,8 +252,22 @@ Status ValidateFlags(const Args& args) {
   return Status::OK();
 }
 
-Result<long long> FlagInt(const Args& args, const std::string& name,
-                          long long fallback) {
+/// Default bounds of `FlagInt`: the range of `T`, clipped to `long long`
+/// (so `size_t` flags accept exactly the non-negative values).
+template <typename T>
+constexpr long long kFlagMin =
+    std::is_signed_v<T> ? std::numeric_limits<T>::min() : 0;
+template <typename T>
+constexpr long long kFlagMax = static_cast<long long>(
+    std::min<unsigned long long>(std::numeric_limits<T>::max(),
+                                 std::numeric_limits<long long>::max()));
+
+/// Reads integer flag `name` as a `T` (`fallback` when absent). A value
+/// outside [min, max] fails with InvalidArgument naming the flag instead
+/// of narrowing silently into the field it configures.
+template <typename T>
+Result<T> FlagInt(const Args& args, const std::string& name, T fallback,
+                  long long min = kFlagMin<T>, long long max = kFlagMax<T>) {
   const std::string* raw = args.Find(name);
   if (raw == nullptr) return fallback;
   std::optional<long long> parsed = ParseInt(*raw);
@@ -259,7 +275,12 @@ Result<long long> FlagInt(const Args& args, const std::string& name,
     return Status::InvalidArgument(name + " expects an integer, got '" +
                                    *raw + "'");
   }
-  return *parsed;
+  if (*parsed < min || *parsed > max) {
+    return Status::InvalidArgument(
+        StrFormat("%s must be in [%lld, %lld], got %lld", name.c_str(), min,
+                  max, *parsed));
+  }
+  return static_cast<T>(*parsed);
 }
 
 Result<double> FlagDouble(const Args& args, const std::string& name,
@@ -278,34 +299,32 @@ Result<core::MinerConfig> ConfigFromArgs(const Args& args) {
   core::MinerConfig config;
   SISD_ASSIGN_OR_RETURN(
       beam, FlagInt(args, "--beam-width", config.search.beam_width));
-  config.search.beam_width = int(beam);
+  config.search.beam_width = beam;
   SISD_ASSIGN_OR_RETURN(depth,
                         FlagInt(args, "--max-depth", config.search.max_depth));
-  config.search.max_depth = int(depth);
+  config.search.max_depth = depth;
   SISD_ASSIGN_OR_RETURN(
       splits, FlagInt(args, "--splits", config.search.num_split_points));
-  config.search.num_split_points = int(splits);
+  config.search.num_split_points = splits;
+  SISD_ASSIGN_OR_RETURN(top_k, FlagInt(args, "--top-k", config.search.top_k));
+  config.search.top_k = top_k;
   SISD_ASSIGN_OR_RETURN(
-      top_k, FlagInt(args, "--top-k", (long long)(config.search.top_k)));
-  config.search.top_k = size_t(top_k);
-  SISD_ASSIGN_OR_RETURN(
-      min_cov,
-      FlagInt(args, "--min-coverage", (long long)(config.search.min_coverage)));
-  config.search.min_coverage = size_t(min_cov);
+      min_cov, FlagInt(args, "--min-coverage", config.search.min_coverage));
+  config.search.min_coverage = min_cov;
   SISD_ASSIGN_OR_RETURN(budget,
                         FlagDouble(args, "--time-budget",
                                    config.search.time_budget_seconds));
   config.search.time_budget_seconds = budget;
   SISD_ASSIGN_OR_RETURN(threads,
                         FlagInt(args, "--threads", config.search.num_threads));
-  config.search.num_threads = int(threads);
+  config.search.num_threads = threads;
   SISD_ASSIGN_OR_RETURN(gamma, FlagDouble(args, "--gamma", config.dl.gamma));
   config.dl.gamma = gamma;
   SISD_ASSIGN_OR_RETURN(eta, FlagDouble(args, "--eta", config.dl.eta));
   config.dl.eta = eta;
   SISD_ASSIGN_OR_RETURN(sparsity, FlagInt(args, "--spread-sparsity",
                                           config.spread_sparsity));
-  config.spread_sparsity = int(sparsity);
+  config.spread_sparsity = sparsity;
   SISD_ASSIGN_OR_RETURN(list_alpha,
                         FlagDouble(args, "--list-alpha",
                                    config.list_gain.alpha));
@@ -389,7 +408,7 @@ Status RunMine(const Args& args) {
   SISD_ASSIGN_OR_RETURN(
       session, core::MiningSession::Create(std::move(dataset), config));
   SISD_ASSIGN_OR_RETURN(iterations, FlagInt(args, "--iterations", 1));
-  SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, int(iterations)));
+  SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, iterations));
   if (const std::string* path = args.Find("--session-save")) {
     SISD_RETURN_NOT_OK(session.Save(*path));
     std::printf("session saved to %s (%zu iterations)\n", path->c_str(),
@@ -407,9 +426,9 @@ Status RunResume(const Args& args) {
   std::printf(
       "restored session over '%s': %zu iterations mined, %zu constraints\n",
       session.dataset().name.c_str(), session.history().size(),
-      session.mutable_assimilator()->num_constraints());
+      session.assimilator().num_constraints());
   SISD_ASSIGN_OR_RETURN(iterations, FlagInt(args, "--iterations", 1));
-  SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, int(iterations)));
+  SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, iterations));
   const std::string* save_path = args.Find("--session-save");
   const std::string& out = save_path != nullptr ? *save_path : *path;
   SISD_RETURN_NOT_OK(session.Save(out));
@@ -455,7 +474,7 @@ Status RunAppend(const Args& args) {
       outcome.replayed_rules);
   SISD_ASSIGN_OR_RETURN(iterations, FlagInt(args, "--iterations", 0));
   if (iterations > 0) {
-    SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, int(iterations)));
+    SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, iterations));
   }
   const std::string* save_path = args.Find("--session-save");
   const std::string& out = save_path != nullptr ? *save_path : *path;
@@ -482,19 +501,13 @@ Status RunExport(const Args& args) {
     if (session.history().empty()) {
       return Status::InvalidArgument("session has no iterations to export");
     }
+    const size_t last = session.history().size();
     SISD_ASSIGN_OR_RETURN(
-        iteration,
-        FlagInt(args, "--iteration", (long long)(session.history().size())));
-    if (iteration < 1 || size_t(iteration) > session.history().size()) {
-      return Status::OutOfRange(StrFormat(
-          "--iteration %lld outside 1..%zu", iteration,
-          session.history().size()));
-    }
+        iteration, FlagInt(args, "--iteration", last, 1, (long long)(last)));
     const data::DataTable table = core::RankedListTable(
-        session.history()[size_t(iteration) - 1],
-        session.dataset().descriptions);
+        session.history()[iteration - 1], session.dataset().descriptions);
     SISD_RETURN_NOT_OK(data::WriteCsvFile(table, *ranked_path));
-    std::printf("ranked list of iteration %lld (%zu subgroups) -> %s\n",
+    std::printf("ranked list of iteration %zu (%zu subgroups) -> %s\n",
                 iteration, table.num_rows(), ranked_path->c_str());
     exported = true;
   }
@@ -521,17 +534,16 @@ Status RunOptimal(const Args& args) {
 
   search::OptimalConfig config;
   SISD_ASSIGN_OR_RETURN(depth, FlagInt(args, "--max-depth", config.max_depth));
-  config.max_depth = int(depth);
-  SISD_ASSIGN_OR_RETURN(
-      min_cov,
-      FlagInt(args, "--min-coverage", (long long)(config.min_coverage)));
-  config.min_coverage = size_t(min_cov);
+  config.max_depth = depth;
+  SISD_ASSIGN_OR_RETURN(min_cov,
+                        FlagInt(args, "--min-coverage", config.min_coverage));
+  config.min_coverage = min_cov;
   SISD_ASSIGN_OR_RETURN(
       budget, FlagDouble(args, "--time-budget", config.time_budget_seconds));
   config.time_budget_seconds = budget;
   SISD_ASSIGN_OR_RETURN(threads,
                         FlagInt(args, "--threads", config.num_threads));
-  config.num_threads = int(threads);
+  config.num_threads = threads;
   config.use_bound = args.Find("--no-bound") == nullptr;
 
   si::DescriptionLengthParams dl;
@@ -542,7 +554,7 @@ Status RunOptimal(const Args& args) {
 
   SISD_ASSIGN_OR_RETURN(splits, FlagInt(args, "--splits", 4));
   const search::ConditionPool pool = search::ConditionPool::Build(
-      dataset.descriptions, int(splits), args.Find("--exclusions") != nullptr);
+      dataset.descriptions, splits, args.Find("--exclusions") != nullptr);
   SISD_ASSIGN_OR_RETURN(
       model, model::BackgroundModel::CreateFromData(dataset.targets, 1e-8));
 
@@ -573,7 +585,7 @@ Status RunOptimal(const Args& args) {
     beam.min_coverage = config.min_coverage;
     beam.num_threads = config.num_threads;
     beam.include_exclusions = args.Find("--exclusions") != nullptr;
-    beam.num_split_points = int(splits);
+    beam.num_split_points = splits;
     search::SiLocationEvaluator evaluator(model, dataset.targets, dl);
     const Clock::time_point beam_start = Clock::now();
     const search::SearchResult beam_result = search::BeamSearch(
@@ -600,10 +612,7 @@ Status RunOptimal(const Args& args) {
 }
 
 Status RunList(const Args& args) {
-  SISD_ASSIGN_OR_RETURN(rules, FlagInt(args, "--rules", 3));
-  if (rules < 1) {
-    return Status::InvalidArgument("--rules must be >= 1");
-  }
+  SISD_ASSIGN_OR_RETURN(rules, FlagInt(args, "--rules", 3, 1));
   const std::string* snapshot = args.Find("--session");
   std::optional<core::MiningSession> session;
   if (snapshot != nullptr) {
@@ -632,7 +641,7 @@ Status RunList(const Args& args) {
   const size_t before = session->subgroup_list() != nullptr
                             ? session->subgroup_list()->rules.size()
                             : size_t{0};
-  SISD_ASSIGN_OR_RETURN(result, session->MineList(int(rules)));
+  SISD_ASSIGN_OR_RETURN(result, session->MineList(rules));
   const search::SubgroupList* list = session->subgroup_list();
   for (size_t i = 0; i < result.rules.size(); ++i) {
     const search::SubgroupRule& rule = result.rules[i];
@@ -664,29 +673,18 @@ Status RunList(const Args& args) {
 Status RunServe(const Args& args) {
   serve::ServeConfig config;
   SISD_ASSIGN_OR_RETURN(
-      max_resident,
-      FlagInt(args, "--max-resident", (long long)(config.max_resident)));
-  if (max_resident < 1) {
-    return Status::InvalidArgument("--max-resident must be >= 1");
-  }
-  config.max_resident = size_t(max_resident);
+      max_resident, FlagInt(args, "--max-resident", config.max_resident, 1));
+  config.max_resident = max_resident;
   if (const std::string* dir = args.Find("--spill-dir")) {
     config.spill_dir = *dir;
   }
   SISD_ASSIGN_OR_RETURN(threads,
-                        FlagInt(args, "--threads", config.num_threads));
-  if (threads < 0) {
-    return Status::InvalidArgument("--threads must be >= 0 (0 = auto)");
-  }
-  config.num_threads = int(threads);
+                        FlagInt(args, "--threads", config.num_threads, 0));
+  config.num_threads = threads;
   SISD_ASSIGN_OR_RETURN(
       catalog_bytes,
-      FlagInt(args, "--catalog-bytes", (long long)(config.catalog_max_bytes)));
-  if (catalog_bytes < 0) {
-    return Status::InvalidArgument(
-        "--catalog-bytes must be >= 0 (0 = unlimited)");
-  }
-  config.catalog_max_bytes = size_t(catalog_bytes);
+      FlagInt(args, "--catalog-bytes", config.catalog_max_bytes));
+  config.catalog_max_bytes = catalog_bytes;
   serve::SessionManager manager(config);
   for (const auto& [flag, value] : args.flags) {
     if (flag != "--preload") continue;
