@@ -423,14 +423,12 @@ Status MiningSession::Save(const std::string& path) const {
 Result<MiningSession> MiningSession::RestoreFromString(
     const std::string& text, catalog::DatasetCatalog* catalog) {
   SISD_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
-  SISD_ASSIGN_OR_RETURN(format_json, root.Get("format"));
-  SISD_ASSIGN_OR_RETURN(format, format_json->GetString());
+  SISD_ASSIGN_OR_RETURN(format, GetStringField(root, "format"));
   if (format != kSessionFormatTag) {
     return Status::InvalidArgument("not a sisd session snapshot (format '" +
                                    format + "')");
   }
-  SISD_ASSIGN_OR_RETURN(version_json, root.Get("schema_version"));
-  SISD_ASSIGN_OR_RETURN(version, version_json->GetInt());
+  SISD_ASSIGN_OR_RETURN(version, GetIntField(root, "schema_version"));
   if (version != kSessionSchemaVersion) {
     return Status::InvalidArgument(
         StrFormat("unsupported session schema version %lld (expected %lld)",

@@ -8,31 +8,6 @@ using serialize::JsonValue;
 
 namespace {
 
-Result<double> GetDoubleField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetDouble();
-}
-
-Result<int64_t> GetIntField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetInt();
-}
-
-Result<int> GetInt32Field(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetInt32();
-}
-
-Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetSize();
-}
-
-Result<bool> GetBoolField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetBool();
-}
-
 JsonValue EncodeSearchConfig(const search::SearchConfig& config) {
   JsonValue out = JsonValue::Object();
   out.Set("beam_width", JsonValue::Int(config.beam_width));
@@ -243,8 +218,7 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   out.dl.gamma = gamma;
   SISD_ASSIGN_OR_RETURN(eta, GetDoubleField(*dl_json, "eta"));
   out.dl.eta = eta;
-  SISD_ASSIGN_OR_RETURN(mix_json, json.Get("mix"));
-  SISD_ASSIGN_OR_RETURN(mix, mix_json->GetString());
+  SISD_ASSIGN_OR_RETURN(mix, GetStringField(json, "mix"));
   if (mix == "location_only") {
     out.mix = PatternMix::kLocationOnly;
   } else if (mix == "location_and_spread") {
@@ -308,12 +282,10 @@ Result<catalog::DatasetRef> DecodeDatasetRef(const JsonValue& json) {
     return Status::InvalidArgument("dataset_ref must be an object");
   }
   catalog::DatasetRef out;
-  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
-  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
+  SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "fingerprint"));
   SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
   out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name_json, json.Get("name"));
-  SISD_ASSIGN_OR_RETURN(name, name_json->GetString());
+  SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
   out.name = std::move(name);
   return out;
 }
@@ -332,15 +304,12 @@ Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
     return Status::InvalidArgument("version_chain entry must be an object");
   }
   SessionVersionLink out;
-  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
-  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
+  SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "fingerprint"));
   SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
   out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name_json, json.Get("name"));
-  SISD_ASSIGN_OR_RETURN(name, name_json->GetString());
+  SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
   out.name = std::move(name);
-  SISD_ASSIGN_OR_RETURN(rows_json, json.Get("rows"));
-  SISD_ASSIGN_OR_RETURN(rows, rows_json->GetSize());
+  SISD_ASSIGN_OR_RETURN(rows, GetSizeField(json, "rows"));
   out.rows = rows;
   return out;
 }

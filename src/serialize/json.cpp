@@ -456,6 +456,36 @@ Result<const JsonValue*> JsonValue::Get(const std::string& key) const {
   return found;
 }
 
+Result<bool> GetBoolField(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetBool();
+}
+
+Result<int64_t> GetIntField(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetInt();
+}
+
+Result<int> GetInt32Field(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetInt32();
+}
+
+Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetSize();
+}
+
+Result<double> GetDoubleField(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetDouble();
+}
+
+Result<std::string> GetStringField(const JsonValue& json, const char* key) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  return field->GetString();
+}
+
 std::string FormatJsonDouble(double value) {
   if (std::isnan(value)) return "\"NaN\"";
   if (std::isinf(value)) return value > 0 ? "\"Infinity\"" : "\"-Infinity\"";

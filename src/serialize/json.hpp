@@ -144,6 +144,18 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
+/// \name Object member readers: `json.Get(key)` followed by the typed
+/// accessor (NotFound when the key is absent, InvalidArgument on a wrong
+/// type). The one set every decoder reads fields through.
+/// @{
+Result<bool> GetBoolField(const JsonValue& json, const char* key);
+Result<int64_t> GetIntField(const JsonValue& json, const char* key);
+Result<int> GetInt32Field(const JsonValue& json, const char* key);
+Result<size_t> GetSizeField(const JsonValue& json, const char* key);
+Result<double> GetDoubleField(const JsonValue& json, const char* key);
+Result<std::string> GetStringField(const JsonValue& json, const char* key);
+/// @}
+
 /// \brief Formats one double exactly as the writer does (exposed for tests:
 /// the bit-exact round-trip contract lives here).
 std::string FormatJsonDouble(double value);

@@ -86,8 +86,7 @@ Result<ProtocolResponse> DecodeResponse(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(value, session->GetString());
     response.session = value;
   }
-  SISD_ASSIGN_OR_RETURN(ok_json, json.Get("ok"));
-  SISD_ASSIGN_OR_RETURN(ok, ok_json->GetBool());
+  SISD_ASSIGN_OR_RETURN(ok, GetBoolField(json, "ok"));
   response.ok = ok;
   if (ok) {
     SISD_ASSIGN_OR_RETURN(result, json.Get("result"));
@@ -97,10 +96,8 @@ Result<ProtocolResponse> DecodeResponse(const JsonValue& json) {
     response.result = *result;
   } else {
     SISD_ASSIGN_OR_RETURN(error, json.Get("error"));
-    SISD_ASSIGN_OR_RETURN(code_json, error->Get("code"));
-    SISD_ASSIGN_OR_RETURN(code, code_json->GetString());
-    SISD_ASSIGN_OR_RETURN(message_json, error->Get("message"));
-    SISD_ASSIGN_OR_RETURN(message, message_json->GetString());
+    SISD_ASSIGN_OR_RETURN(code, GetStringField(*error, "code"));
+    SISD_ASSIGN_OR_RETURN(message, GetStringField(*error, "message"));
     response.error = Status(StatusCodeFromString(code), message);
     if (response.error.ok()) {
       return Status::InvalidArgument(

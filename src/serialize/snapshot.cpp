@@ -9,25 +9,6 @@
 
 namespace sisd::serialize {
 
-namespace {
-
-Result<double> GetDoubleField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetDouble();
-}
-
-Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetSize();
-}
-
-Result<std::string> GetStringField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetString();
-}
-
-}  // namespace
-
 JsonValue EncodeVector(const linalg::Vector& v) {
   JsonValue out = JsonValue::Array();
   for (size_t i = 0; i < v.size(); ++i) out.Append(JsonValue::Double(v[i]));
@@ -187,8 +168,7 @@ Result<pattern::Condition> DecodeCondition(const JsonValue& json) {
   out.op = op;
   SISD_ASSIGN_OR_RETURN(threshold, GetDoubleField(json, "threshold"));
   out.threshold = threshold;
-  SISD_ASSIGN_OR_RETURN(level_field, json.Get("level"));
-  SISD_ASSIGN_OR_RETURN(level, level_field->GetInt());
+  SISD_ASSIGN_OR_RETURN(level, GetIntField(json, "level"));
   out.level = int32_t(level);
   return out;
 }

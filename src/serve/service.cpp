@@ -682,12 +682,10 @@ Result<pattern::Intention> ParseConditionSpec(const JsonValue& conditions,
     if (!spec.is_object()) {
       return Status::InvalidArgument("each condition must be an object");
     }
-    SISD_ASSIGN_OR_RETURN(attr_json, spec.Get("attribute"));
-    SISD_ASSIGN_OR_RETURN(attr_name, attr_json->GetString());
+    SISD_ASSIGN_OR_RETURN(attr_name, GetStringField(spec, "attribute"));
     SISD_ASSIGN_OR_RETURN(attribute, table.ColumnIndex(attr_name));
     const data::Column& column = table.column(attribute);
-    SISD_ASSIGN_OR_RETURN(op_json, spec.Get("op"));
-    SISD_ASSIGN_OR_RETURN(op, op_json->GetString());
+    SISD_ASSIGN_OR_RETURN(op, GetStringField(spec, "op"));
 
     if (op == "<=" || op == ">=") {
       if (!data::IsOrderable(column.kind())) {
@@ -696,8 +694,7 @@ Result<pattern::Intention> ParseConditionSpec(const JsonValue& conditions,
             data::AttributeKindToString(column.kind()) +
             "; interval conditions need a numeric/ordinal attribute");
       }
-      SISD_ASSIGN_OR_RETURN(threshold_json, spec.Get("threshold"));
-      SISD_ASSIGN_OR_RETURN(threshold, threshold_json->GetDouble());
+      SISD_ASSIGN_OR_RETURN(threshold, GetDoubleField(spec, "threshold"));
       parsed.push_back(op == "<="
                            ? pattern::Condition::LessEqual(attribute,
                                                            threshold)
@@ -712,8 +709,7 @@ Result<pattern::Intention> ParseConditionSpec(const JsonValue& conditions,
             data::AttributeKindToString(column.kind()) +
             "; equality conditions need a categorical/binary attribute");
       }
-      SISD_ASSIGN_OR_RETURN(level_json, spec.Get("level"));
-      SISD_ASSIGN_OR_RETURN(label, level_json->GetString());
+      SISD_ASSIGN_OR_RETURN(label, GetStringField(spec, "level"));
       int32_t code = -1;
       for (size_t i = 0; i < column.labels().size(); ++i) {
         if (column.labels()[i] == label) {

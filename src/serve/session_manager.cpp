@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 #include <utility>
 
 #include "common/strings.hpp"
@@ -35,19 +34,6 @@ struct SessionManager::SessionEntry {
 
   std::atomic<bool> resident{false};
   std::atomic<uint64_t> last_touch{0};
-};
-
-struct SessionManager::Shard {
-  mutable std::mutex mu;
-  std::unordered_map<std::string, std::shared_ptr<SessionEntry>> sessions;
-};
-
-/// Entry + held entry lock, returned by `Lock`.
-struct SessionManager::LockedSession {
-  std::shared_ptr<SessionEntry> entry;
-  std::unique_lock<std::mutex> lock;
-
-  core::MiningSession& session() { return *entry->session; }
 };
 
 namespace {
@@ -88,8 +74,6 @@ SessionManager::SessionManager(
     ServeConfig config, std::shared_ptr<catalog::DatasetCatalog> catalog)
     : config_(std::move(config)), catalog_(std::move(catalog)) {
   config_.max_resident = std::max<size_t>(config_.max_resident, 1);
-  config_.num_shards =
-      std::min<size_t>(std::max<size_t>(config_.num_shards, 1), 4096);
   if (catalog_ == nullptr) {
     catalog::CatalogConfig catalog_config;
     catalog_config.max_bytes = config_.catalog_max_bytes;
@@ -97,48 +81,35 @@ SessionManager::SessionManager(
   }
   pool_ = std::make_shared<search::ThreadPool>(
       search::ThreadPool::ResolveNumThreads(config_.num_threads));
-  shards_.reserve(config_.num_shards);
-  for (size_t i = 0; i < config_.num_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
 }
 
 SessionManager::~SessionManager() {
   // Release the catalog pins of still-open sessions: a shared catalog
   // outlives this manager, and orphaned pins would block dataset_drop
   // forever.
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [name, entry] : shard->sessions) {
-      std::lock_guard<std::mutex> entry_lock(entry->mu);
-      if (!entry->closed && entry->pinned_fingerprint.has_value()) {
-        catalog_->Unpin(*entry->pinned_fingerprint);
-        entry->pinned_fingerprint.reset();
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (const auto& [name, entry] : sessions_) {
+    std::lock_guard<std::mutex> entry_lock(entry->mu);
+    if (!entry->closed && entry->pinned_fingerprint.has_value()) {
+      catalog_->Unpin(*entry->pinned_fingerprint);
+      entry->pinned_fingerprint.reset();
     }
   }
 }
 
-SessionManager::Shard& SessionManager::ShardFor(
-    const std::string& name) const {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
 std::shared_ptr<SessionManager::SessionEntry> SessionManager::FindEntry(
     const std::string& name) const {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(name);
-  return it == shard.sessions.end() ? nullptr : it->second;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(name);
+  return it == sessions_.end() ? nullptr : it->second;
 }
 
 void SessionManager::RemoveEntry(const std::string& name,
                                  const SessionEntry* expected) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.sessions.find(name);
-  if (it != shard.sessions.end() && it->second.get() == expected) {
-    shard.sessions.erase(it);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = sessions_.find(name);
+  if (it != sessions_.end() && it->second.get() == expected) {
+    sessions_.erase(it);
   }
 }
 
@@ -221,12 +192,12 @@ Status SessionManager::EvictEntryLocked(SessionEntry* entry) {
 void SessionManager::MaybeEvict() {
   while (resident_count_.load() > config_.max_resident) {
     // Rank resident entries by logical touch (coldest first). The scan
-    // holds one shard lock at a time and no entry locks.
+    // holds the map lock and no entry locks.
     std::vector<std::pair<uint64_t, std::shared_ptr<SessionEntry>>>
         candidates;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      for (const auto& [name, entry] : shard->sessions) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& [name, entry] : sessions_) {
         if (entry->resident.load()) {
           candidates.emplace_back(entry->last_touch.load(), entry);
         }
@@ -252,19 +223,45 @@ void SessionManager::MaybeEvict() {
   }
 }
 
-Result<SessionManager::LockedSession> SessionManager::Lock(
-    const std::string& name) {
+template <typename Op>
+auto SessionManager::WithSession(const std::string& name, bool restore,
+                                 Op&& op)
+    -> decltype(op(std::declval<SessionEntry&>())) {
+  using R = decltype(op(std::declval<SessionEntry&>()));
   std::shared_ptr<SessionEntry> entry = FindEntry(name);
   if (entry == nullptr) {
     return Status::NotFound("no session named '" + name + "'");
   }
   std::unique_lock<std::mutex> lock(entry->mu);
-  if (entry->closed) {
-    return Status::NotFound("session '" + name + "' is closed");
+  R result = [&]() -> R {
+    if (entry->closed) {
+      return Status::NotFound("session '" + name + "' is closed");
+    }
+    if (restore) {
+      SISD_RETURN_NOT_OK(EnsureResident(entry.get()));
+      entry->last_touch.store(NextTouch());
+    }
+    return op(*entry);
+  }();
+  const bool closed = entry->closed;
+  lock.unlock();
+  if (closed) RemoveEntry(name, entry.get());
+  MaybeEvict();
+  return result;
+}
+
+Result<SaveOutcome> SessionManager::WriteSnapshot(const SessionEntry& entry,
+                                                  const std::string& path,
+                                                  core::SnapshotForm form,
+                                                  const char* verb) {
+  std::string out_path = !path.empty() ? path : SpillPathFor(entry.name);
+  if (out_path.empty()) {
+    return Status::InvalidArgument(StrFormat(
+        "%s needs a 'path' when the server has no spill directory", verb));
   }
-  SISD_RETURN_NOT_OK(EnsureResident(entry.get()));
-  entry->last_touch.store(NextTouch());
-  return LockedSession{std::move(entry), std::move(lock)};
+  const std::string text = entry.session->SaveToString(form);
+  SISD_RETURN_NOT_OK(serialize::WriteTextFile(out_path, text));
+  return SaveOutcome{std::move(out_path), text.size()};
 }
 
 SessionInfo SessionManager::InfoLocked(const SessionEntry& entry) const {
@@ -317,15 +314,14 @@ Result<SessionInfo> SessionManager::OpenPinned(const std::string& name,
   }
   auto entry = std::make_shared<SessionEntry>(name);
   {
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.sessions.emplace(name, entry);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto [it, inserted] = sessions_.emplace(name, entry);
     if (!inserted) {
       catalog_->Unpin(pinned.fingerprint);
       return Status::AlreadyExists("session '" + name + "' already exists");
     }
   }
-  // Built under the entry lock (racers block on it, not on the shard).
+  // Built under the entry lock (racers block on it, not on the map).
   // The condition pool comes from the catalog's artifact cache: the first
   // session on a (dataset, alphabet) pays the build, every later one
   // shares the same immutable instance.
@@ -363,36 +359,35 @@ Result<MineOutcome> SessionManager::Mine(
   if (iterations < 1) {
     return Status::InvalidArgument("mine needs iterations >= 1");
   }
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  SISD_RETURN_NOT_OK(CheckGeneration(locked.entry->generation,
-                                     if_generation));
-  core::MiningSession& session = locked.session();
-  MineOutcome outcome;
-  for (int i = 0; i < iterations; ++i) {
-    Result<core::IterationResult> iteration = session.MineNext();
-    if (!iteration.ok()) {
-      // An error on the first iteration mutated nothing: report it as the
-      // request's failure. After at least one assimilated iteration the
-      // session HAS moved, so the committed entries and new generation
-      // must reach the client: exhaustion is the expected end of the
-      // dialogue, anything else is surfaced via `stopped`.
-      if (i == 0) return iteration.status();
-      if (iteration.status().code() == StatusCode::kNotFound) {
-        outcome.exhausted = true;
-      } else {
-        outcome.stopped = iteration.status().ToString();
+  return WithSession(name, true, [&](SessionEntry& entry)
+                                     -> Result<MineOutcome> {
+    SISD_RETURN_NOT_OK(CheckGeneration(entry.generation, if_generation));
+    core::MiningSession& session = *entry.session;
+    MineOutcome outcome;
+    for (int i = 0; i < iterations; ++i) {
+      Result<core::IterationResult> iteration = session.MineNext();
+      if (!iteration.ok()) {
+        // An error on the first iteration mutated nothing: report it as
+        // the request's failure. After at least one assimilated iteration
+        // the session HAS moved, so the committed entries and new
+        // generation must reach the client: exhaustion is the expected
+        // end of the dialogue, anything else is surfaced via `stopped`.
+        if (i == 0) return iteration.status();
+        if (iteration.status().code() == StatusCode::kNotFound) {
+          outcome.exhausted = true;
+        } else {
+          outcome.stopped = iteration.status().ToString();
+        }
+        break;
       }
-      break;
+      ++entry.generation;
+      outcome.iterations.push_back(Summarize(iteration.Value(),
+                                             session.history().size(),
+                                             session.dataset().descriptions));
     }
-    ++locked.entry->generation;
-    outcome.iterations.push_back(Summarize(iteration.Value(),
-                                           session.history().size(),
-                                           session.dataset().descriptions));
-  }
-  outcome.generation = locked.entry->generation;
-  locked.lock.unlock();
-  MaybeEvict();
-  return outcome;
+    outcome.generation = entry.generation;
+    return outcome;
+  });
 }
 
 Result<MineListOutcome> SessionManager::MineList(
@@ -401,138 +396,139 @@ Result<MineListOutcome> SessionManager::MineList(
   if (rules < 1) {
     return Status::InvalidArgument("mine_list needs rules >= 1");
   }
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  SISD_RETURN_NOT_OK(CheckGeneration(locked.entry->generation,
-                                     if_generation));
-  core::MiningSession& session = locked.session();
-  SISD_ASSIGN_OR_RETURN(result, session.MineList(rules));
-  locked.entry->generation += result.rules.size();
-  const search::SubgroupList* list = session.subgroup_list();
-  SISD_CHECK(list != nullptr);  // MineList materializes the list
-  MineListOutcome outcome;
-  outcome.generation = locked.entry->generation;
-  outcome.total_gain = list->total_gain;
-  outcome.list_size = list->rules.size();
-  outcome.uncovered = list->uncovered.count();
-  outcome.candidates = result.candidates_evaluated;
-  outcome.exhausted = result.exhausted;
-  outcome.hit_time_budget = result.hit_time_budget;
-  const size_t first = list->rules.size() - result.rules.size();
-  for (size_t i = 0; i < result.rules.size(); ++i) {
-    const search::SubgroupRule& rule = result.rules[i];
-    RuleSummary summary;
-    summary.index = first + i + 1;
-    summary.description =
-        rule.intention.ToString(session.dataset().descriptions);
-    summary.gain = rule.gain;
-    summary.coverage = rule.extension.count();
-    summary.captured = rule.captured.count();
-    outcome.rules.push_back(std::move(summary));
-  }
-  locked.lock.unlock();
-  MaybeEvict();
-  return outcome;
+  return WithSession(name, true, [&](SessionEntry& entry)
+                                     -> Result<MineListOutcome> {
+    SISD_RETURN_NOT_OK(CheckGeneration(entry.generation, if_generation));
+    core::MiningSession& session = *entry.session;
+    SISD_ASSIGN_OR_RETURN(result, session.MineList(rules));
+    entry.generation += result.rules.size();
+    const search::SubgroupList* list = session.subgroup_list();
+    SISD_CHECK(list != nullptr);  // MineList materializes the list
+    MineListOutcome outcome;
+    outcome.generation = entry.generation;
+    outcome.total_gain = list->total_gain;
+    outcome.list_size = list->rules.size();
+    outcome.uncovered = list->uncovered.count();
+    outcome.candidates = result.candidates_evaluated;
+    outcome.exhausted = result.exhausted;
+    outcome.hit_time_budget = result.hit_time_budget;
+    const size_t first = list->rules.size() - result.rules.size();
+    for (size_t i = 0; i < result.rules.size(); ++i) {
+      const search::SubgroupRule& rule = result.rules[i];
+      RuleSummary summary;
+      summary.index = first + i + 1;
+      summary.description =
+          rule.intention.ToString(session.dataset().descriptions);
+      summary.gain = rule.gain;
+      summary.coverage = rule.extension.count();
+      summary.captured = rule.captured.count();
+      outcome.rules.push_back(std::move(summary));
+    }
+    return outcome;
+  });
 }
 
 Result<RebaseInfo> SessionManager::Rebase(
     const std::string& name, const std::string& dataset_spec,
     std::optional<uint64_t> if_generation) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  SISD_RETURN_NOT_OK(CheckGeneration(locked.entry->generation,
-                                     if_generation));
-  core::MiningSession& session = locked.session();
-  // Every manager session is catalog-opened, so it always has a pin.
-  SISD_CHECK(locked.entry->pinned_fingerprint.has_value());
-  const uint64_t current_fp = *locked.entry->pinned_fingerprint;
+  return WithSession(name, true, [&](SessionEntry& entry)
+                                     -> Result<RebaseInfo> {
+    SISD_RETURN_NOT_OK(CheckGeneration(entry.generation, if_generation));
+    core::MiningSession& session = *entry.session;
+    // Every manager session is catalog-opened, so it always has a pin.
+    SISD_CHECK(entry.pinned_fingerprint.has_value());
+    const uint64_t current_fp = *entry.pinned_fingerprint;
 
-  SISD_ASSIGN_OR_RETURN(
-      target, catalog_->FindByNameOrFingerprint(dataset_spec, /*pin=*/true));
-  RebaseInfo out;
-  out.previous_fingerprint = current_fp;
-  out.fingerprint = target.fingerprint;
-  if (target.fingerprint == current_fp) {
-    catalog_->Unpin(target.fingerprint);
-    out.reused = true;
-    out.info = InfoLocked(*locked.entry);
+    SISD_ASSIGN_OR_RETURN(target, catalog_->FindByNameOrFingerprint(
+                                      dataset_spec, /*pin=*/true));
+    RebaseInfo out;
+    out.previous_fingerprint = current_fp;
+    out.fingerprint = target.fingerprint;
+    if (target.fingerprint == current_fp) {
+      catalog_->Unpin(target.fingerprint);
+      out.reused = true;
+      out.info = InfoLocked(entry);
+      return out;
+    }
+    if (!catalog_->IsDescendantOf(target.fingerprint, current_fp)) {
+      catalog_->Unpin(target.fingerprint);
+      return Status::InvalidArgument(
+          "dataset '" + dataset_spec +
+          "' is not an appended version of the session's current dataset");
+    }
+    // The pool comes from the artifact cache — `DatasetCatalog::Append`
+    // has already refreshed the parent's pools incrementally for this
+    // version, so this is a cache hit, not a scratch build.
+    std::shared_ptr<const search::ConditionPool> pool = catalog_->PoolFor(
+        target, session.config().search.num_split_points,
+        session.config().search.include_exclusions);
+    Result<core::RebaseOutcome> rebased =
+        session.Rebase(target.dataset, std::move(pool), target.ref());
+    if (!rebased.ok()) {
+      catalog_->Unpin(target.fingerprint);
+      return rebased.status();
+    }
+    // The target pin transfers to the entry; the old version's pin drops.
+    catalog_->Unpin(current_fp);
+    entry.pinned_fingerprint = target.fingerprint;
+    ++entry.generation;
+    out.appended_rows = rebased.Value().appended_rows;
+    out.replayed_iterations = rebased.Value().replayed_iterations;
+    out.replayed_rules = rebased.Value().replayed_rules;
+    out.info = InfoLocked(entry);
     return out;
-  }
-  if (!catalog_->IsDescendantOf(target.fingerprint, current_fp)) {
-    catalog_->Unpin(target.fingerprint);
-    return Status::InvalidArgument(
-        "dataset '" + dataset_spec +
-        "' is not an appended version of the session's current dataset");
-  }
-  // The pool comes from the artifact cache — `DatasetCatalog::Append` has
-  // already refreshed the parent's pools incrementally for this version,
-  // so this is a cache hit, not a scratch build.
-  std::shared_ptr<const search::ConditionPool> pool = catalog_->PoolFor(
-      target, session.config().search.num_split_points,
-      session.config().search.include_exclusions);
-  Result<core::RebaseOutcome> rebased =
-      session.Rebase(target.dataset, std::move(pool), target.ref());
-  if (!rebased.ok()) {
-    catalog_->Unpin(target.fingerprint);
-    return rebased.status();
-  }
-  // The target pin transfers to the entry; the old version's pin drops.
-  catalog_->Unpin(current_fp);
-  locked.entry->pinned_fingerprint = target.fingerprint;
-  ++locked.entry->generation;
-  out.appended_rows = rebased.Value().appended_rows;
-  out.replayed_iterations = rebased.Value().replayed_iterations;
-  out.replayed_rules = rebased.Value().replayed_rules;
-  out.info = InfoLocked(*locked.entry);
-  locked.lock.unlock();
-  MaybeEvict();
-  return out;
+  });
 }
 
 Result<MineOutcome> SessionManager::Assimilate(
     const std::string& name, const IntentionBuilder& builder,
     std::optional<uint64_t> if_generation) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  SISD_RETURN_NOT_OK(CheckGeneration(locked.entry->generation,
-                                     if_generation));
-  core::MiningSession& session = locked.session();
-  SISD_ASSIGN_OR_RETURN(intention, builder(session));
-  SISD_ASSIGN_OR_RETURN(iteration, session.AssimilateIntention(intention));
-  ++locked.entry->generation;
-  MineOutcome outcome;
-  outcome.generation = locked.entry->generation;
-  outcome.iterations.push_back(Summarize(iteration,
-                                         session.history().size(),
-                                         session.dataset().descriptions));
-  locked.lock.unlock();
-  MaybeEvict();
-  return outcome;
+  return WithSession(name, true, [&](SessionEntry& entry)
+                                     -> Result<MineOutcome> {
+    SISD_RETURN_NOT_OK(CheckGeneration(entry.generation, if_generation));
+    core::MiningSession& session = *entry.session;
+    SISD_ASSIGN_OR_RETURN(intention, builder(session));
+    SISD_ASSIGN_OR_RETURN(iteration,
+                          session.AssimilateIntention(intention));
+    ++entry.generation;
+    MineOutcome outcome;
+    outcome.generation = entry.generation;
+    outcome.iterations.push_back(Summarize(iteration,
+                                           session.history().size(),
+                                           session.dataset().descriptions));
+    return outcome;
+  });
 }
 
 Result<std::vector<IterationSummary>> SessionManager::History(
     const std::string& name) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  const core::MiningSession& session = locked.session();
-  std::vector<IterationSummary> out;
-  out.reserve(session.history().size());
-  for (size_t i = 0; i < session.history().size(); ++i) {
-    out.push_back(Summarize(session.history()[i], i + 1,
-                            session.dataset().descriptions));
-  }
-  locked.lock.unlock();
-  MaybeEvict();
-  return out;
+  return WithSession(name, true, [](SessionEntry& entry)
+                                     -> Result<std::vector<IterationSummary>> {
+    const core::MiningSession& session = *entry.session;
+    std::vector<IterationSummary> out;
+    out.reserve(session.history().size());
+    for (size_t i = 0; i < session.history().size(); ++i) {
+      out.push_back(Summarize(session.history()[i], i + 1,
+                              session.dataset().descriptions));
+    }
+    return out;
+  });
 }
 
 Result<std::string> SessionManager::ExportCsv(
     const std::string& name, const std::string& what,
     std::optional<size_t> iteration) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  const core::MiningSession& session = locked.session();
-  std::string csv;
-  if (what == "history") {
-    csv = data::WriteCsvText(core::IterationSummaryTable(
-        session.history(), session.dataset().descriptions,
-        session.dataset().target_names));
-  } else if (what == "ranked") {
+  return WithSession(name, true, [&](SessionEntry& entry)
+                                     -> Result<std::string> {
+    const core::MiningSession& session = *entry.session;
+    if (what == "history") {
+      return data::WriteCsvText(core::IterationSummaryTable(
+          session.history(), session.dataset().descriptions,
+          session.dataset().target_names));
+    }
+    if (what != "ranked") {
+      return Status::InvalidArgument("export 'what' must be history|ranked");
+    }
     if (session.history().empty()) {
       return Status::InvalidArgument("session has no iterations to export");
     }
@@ -541,116 +537,80 @@ Result<std::string> SessionManager::ExportCsv(
       return Status::OutOfRange(StrFormat("iteration %zu outside 1..%zu", k,
                                           session.history().size()));
     }
-    csv = data::WriteCsvText(core::RankedListTable(
+    return data::WriteCsvText(core::RankedListTable(
         session.history()[k - 1], session.dataset().descriptions));
-  } else {
-    return Status::InvalidArgument("export 'what' must be history|ranked");
-  }
-  locked.lock.unlock();
-  MaybeEvict();
-  return csv;
+  });
 }
 
 Result<SaveOutcome> SessionManager::Save(const std::string& name,
                                          const std::string& path,
                                          bool dataset_ref) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  std::string out_path = !path.empty() ? path : SpillPathFor(name);
-  if (out_path.empty()) {
-    return Status::InvalidArgument(
-        "save needs a 'path' when the server has no spill directory");
-  }
-  const std::string text = locked.session().SaveToString(
-      dataset_ref ? core::SnapshotForm::kDatasetRef
-                  : core::SnapshotForm::kInlineDataset);
-  SISD_RETURN_NOT_OK(serialize::WriteTextFile(out_path, text));
-  locked.lock.unlock();
-  MaybeEvict();
-  return SaveOutcome{std::move(out_path), text.size()};
+  return WithSession(name, true, [&](SessionEntry& entry) {
+    return WriteSnapshot(entry, path,
+                         dataset_ref ? core::SnapshotForm::kDatasetRef
+                                     : core::SnapshotForm::kInlineDataset,
+                         "save");
+  });
 }
 
 Status SessionManager::Evict(const std::string& name) {
-  std::shared_ptr<SessionEntry> entry = FindEntry(name);
-  if (entry == nullptr) {
-    return Status::NotFound("no session named '" + name + "'");
-  }
-  std::lock_guard<std::mutex> lock(entry->mu);
-  if (entry->closed) {
-    return Status::NotFound("session '" + name + "' is closed");
-  }
-  if (entry->session == nullptr) return Status::OK();  // already spilled
-  return EvictEntryLocked(entry.get());
+  return WithSession(name, false, [this](SessionEntry& entry) {
+    if (entry.session == nullptr) return Status::OK();  // already spilled
+    return EvictEntryLocked(&entry);
+  });
 }
 
 Status SessionManager::Close(const std::string& name, bool save,
                              const std::string& path) {
-  std::shared_ptr<SessionEntry> entry = FindEntry(name);
-  if (entry == nullptr) {
-    return Status::NotFound("no session named '" + name + "'");
-  }
-  std::unique_lock<std::mutex> lock(entry->mu);
-  if (entry->closed) {
-    return Status::NotFound("session '" + name + "' is closed");
-  }
-  // Captured before EnsureResident (which clears it): a spill file the
-  // close does not deliberately keep must be removed, or every
-  // evicted-then-closed session would leak a snapshot in spill_dir.
-  std::string stale_spill = entry->spill_path;
-  if (save) {
-    SISD_RETURN_NOT_OK(EnsureResident(entry.get()));
-    std::string out_path = !path.empty() ? path : SpillPathFor(name);
-    if (out_path.empty()) {
-      return Status::InvalidArgument(
-          "close with save needs a 'path' when the server has no spill "
-          "directory");
+  return WithSession(name, save, [&](SessionEntry& entry) -> Status {
+    if (save) {
+      // The restore already dropped the spill; a save to the spill path
+      // is the file the close deliberately keeps.
+      SISD_RETURN_NOT_OK(WriteSnapshot(entry, path,
+                                       core::SnapshotForm::kInlineDataset,
+                                       "close with save")
+                             .status());
     }
-    SISD_RETURN_NOT_OK(
-        serialize::WriteTextFile(out_path, entry->session->SaveToString()));
-    if (stale_spill == out_path) stale_spill.clear();  // kept on purpose
-  }
-  entry->closed = true;
-  if (entry->session != nullptr) {
-    entry->session.reset();
-    entry->resident.store(false);
-    resident_count_.fetch_sub(1);
-  }
-  entry->spill_text.clear();
-  entry->spill_path.clear();
-  if (entry->pinned_fingerprint.has_value()) {
-    catalog_->Unpin(*entry->pinned_fingerprint);
-    entry->pinned_fingerprint.reset();
-  }
-  if (!stale_spill.empty()) std::remove(stale_spill.c_str());
-  lock.unlock();
-  RemoveEntry(name, entry.get());
-  closes_.fetch_add(1);
-  return Status::OK();
+    entry.closed = true;
+    if (entry.session != nullptr) {
+      entry.session.reset();
+      entry.resident.store(false);
+      resident_count_.fetch_sub(1);
+    }
+    // A spilled session closed without a save leaves no stale snapshot
+    // behind in spill_dir.
+    if (!entry.spill_path.empty()) std::remove(entry.spill_path.c_str());
+    entry.spill_text.clear();
+    entry.spill_path.clear();
+    if (entry.pinned_fingerprint.has_value()) {
+      catalog_->Unpin(*entry.pinned_fingerprint);
+      entry.pinned_fingerprint.reset();
+    }
+    closes_.fetch_add(1);
+    return Status::OK();
+  });
 }
 
 Result<SessionInfo> SessionManager::Info(const std::string& name) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  SessionInfo info = InfoLocked(*locked.entry);
-  locked.lock.unlock();
-  MaybeEvict();
-  return info;
+  return WithSession(name, true, [this](SessionEntry& entry)
+                                     -> Result<SessionInfo> {
+    return InfoLocked(entry);
+  });
 }
 
 Result<core::MiningSession> SessionManager::CloneSession(
     const std::string& name) {
-  SISD_ASSIGN_OR_RETURN(locked, Lock(name));
-  core::MiningSession clone = locked.session().Clone();
-  locked.lock.unlock();
-  MaybeEvict();
-  return clone;
+  return WithSession(name, true, [](SessionEntry& entry)
+                                     -> Result<core::MiningSession> {
+    return entry.session->Clone();
+  });
 }
 
 std::vector<std::string> SessionManager::SessionNames() const {
   std::vector<std::string> names;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [name, entry] : shard->sessions) {
-      names.push_back(name);
-    }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [name, entry] : sessions_) names.push_back(name);
   }
   std::sort(names.begin(), names.end());
   return names;
@@ -658,9 +618,9 @@ std::vector<std::string> SessionManager::SessionNames() const {
 
 ManagerStats SessionManager::Stats() const {
   ManagerStats stats;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    stats.sessions += shard->sessions.size();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stats.sessions = sessions_.size();
   }
   stats.resident = resident_count_.load();
   stats.max_resident = config_.max_resident;

@@ -1,16 +1,20 @@
 /// \file session_manager.hpp
 /// \brief Concurrent multi-session service core: many named
-/// `core::MiningSession`s behind a sharded mutex map.
+/// `core::MiningSession`s behind one mutex-guarded session map.
 ///
 /// The paper's workflow is one analyst holding one dialogue; serving many
 /// analysts means many live dialogues in one process. The manager provides:
 ///
-///  - **Sharded locking.** Session names hash to shards; a shard mutex
-///    guards only the name→entry map, and each entry carries its own mutex
+///  - **Two-level locking.** One map mutex guards only the name→entry
+///    map (lookup, insert, erase, scan); each entry carries its own mutex
 ///    held for the duration of an operation. Long operations (a mine can
-///    run seconds) therefore never block unrelated sessions. Lock order is
-///    strictly shard→entry; no code path touches a shard map while holding
-///    an entry lock.
+///    run seconds) therefore never block unrelated sessions. The map lock
+///    is never taken while an entry lock is held, so there are no lock
+///    cycles.
+///  - **One access path.** Every operation on a named session finds and
+///    locks its entry, restores it if spilled, runs, unlocks and re-runs
+///    the eviction policy through one helper, so no return path (errors
+///    included) can leave more than `max_resident` sessions in memory.
 ///  - **LRU snapshot eviction.** At most `max_resident` sessions stay in
 ///    memory. Colder sessions (by a logical touch clock, not wall time, so
 ///    behaviour is reproducible) are spilled through the PR 3 snapshot
@@ -45,6 +49,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "catalog/dataset_catalog.hpp"
@@ -62,8 +68,6 @@ struct ServeConfig {
   /// Directory for eviction snapshots; "" spills to in-memory strings
   /// (same codec, no filesystem).
   std::string spill_dir;
-  /// Shards of the name→session map (floor 1).
-  size_t num_shards = 8;
   /// Workers in the shared scoring pool: >= 1 literal, 0 = auto
   /// (`SISD_THREADS`, then hardware concurrency).
   int num_threads = 1;
@@ -187,7 +191,7 @@ class SessionManager {
   SessionManager(ServeConfig config,
                  std::shared_ptr<catalog::DatasetCatalog> catalog);
 
-  ~SessionManager();  // out of line: Shard/SessionEntry are .cpp-private
+  ~SessionManager();  // releases the catalog pins of open sessions
 
   SessionManager(const SessionManager&) = delete;
   SessionManager& operator=(const SessionManager&) = delete;
@@ -294,10 +298,7 @@ class SessionManager {
 
  private:
   struct SessionEntry;
-  struct Shard;
-  struct LockedSession;
 
-  Shard& ShardFor(const std::string& name) const;
   std::shared_ptr<SessionEntry> FindEntry(const std::string& name) const;
   void RemoveEntry(const std::string& name, const SessionEntry* expected);
 
@@ -308,15 +309,29 @@ class SessionManager {
                                  catalog::PinnedDataset pinned,
                                  core::MinerConfig config);
 
-  /// Finds, locks, restores-if-spilled and touches the session.
-  Result<LockedSession> Lock(const std::string& name);
+  /// The one session-access path. Finds and locks the entry named `name`
+  /// (NotFound when absent or closed), restores and touches it when
+  /// `restore` is set, and runs `op(entry)` under the entry lock. Then it
+  /// unlocks, drops the entry from the map if `op` closed it, and runs
+  /// `MaybeEvict` — on every return path, errors included.
+  template <typename Op>
+  auto WithSession(const std::string& name, bool restore, Op&& op)
+      -> decltype(op(std::declval<SessionEntry&>()));
+
+  /// Resolves `path` (default: the spill path; `verb` names the caller in
+  /// the error when neither exists) and writes the locked entry's
+  /// snapshot there in `form`.
+  Result<SaveOutcome> WriteSnapshot(const SessionEntry& entry,
+                                    const std::string& path,
+                                    core::SnapshotForm form,
+                                    const char* verb);
 
   /// Restores a spilled session (entry mutex held).
   Status EnsureResident(SessionEntry* entry);
   /// Spills a resident session (entry mutex held).
   Status EvictEntryLocked(SessionEntry* entry);
-  /// Spills coldest sessions until the resident count fits. Takes shard
-  /// and entry locks itself; callers must hold none.
+  /// Spills coldest sessions until the resident count fits. Takes the
+  /// map and entry locks itself; callers must hold none.
   void MaybeEvict();
 
   SessionInfo InfoLocked(const SessionEntry& entry) const;
@@ -325,7 +340,8 @@ class SessionManager {
   ServeConfig config_;
   std::shared_ptr<catalog::DatasetCatalog> catalog_;
   std::shared_ptr<search::ThreadPool> pool_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mu_;  ///< guards `sessions_` only
+  std::unordered_map<std::string, std::shared_ptr<SessionEntry>> sessions_;
 
   std::atomic<uint64_t> touch_clock_{0};
   std::atomic<size_t> resident_count_{0};

@@ -1,7 +1,8 @@
 // End-to-end coverage of the sisd_cli binary: mine -> resume continues
 // byte-identically (snapshot files compared as bytes), export produces the
-// CSV artifacts, and misuse exits nonzero with usage help. The binary path
-// is injected by CMake via SISD_CLI_BIN.
+// CSV artifacts, list mining matches the sisd_serve mine_list verb, and
+// misuse exits nonzero with usage help. The binary paths are injected by
+// CMake via SISD_CLI_BIN and SISD_SERVE_BIN.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,9 @@
 #ifndef SISD_CLI_BIN
 #error "SISD_CLI_BIN must be defined by the build system"
 #endif
+#ifndef SISD_SERVE_BIN
+#error "SISD_SERVE_BIN must be defined by the build system"
+#endif
 
 namespace {
 
@@ -23,6 +27,15 @@ int RunCli(const std::string& args,
            const std::string& output = "/dev/null") {
   const std::string command =
       std::string(SISD_CLI_BIN) + " " + args + " > " + output + " 2>&1";
+  const int rc = std::system(command.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// Replays a protocol script through sisd_serve; responses go to `output`.
+int ReplayThroughServe(const std::string& script,
+                       const std::string& output = "/dev/null") {
+  const std::string command = std::string(SISD_SERVE_BIN) + " --script " +
+                              script + " > " + output + " 2> /dev/null";
   const int rc = std::system(command.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
@@ -125,7 +138,7 @@ TEST_F(CliSmokeTest, UnknownSubcommandPrintsUsageToStderr) {
 
 TEST_F(CliSmokeTest, ListMinesAndResumesByteIdentically) {
   // list -> list --session continues the snapshot. The unbroken reference
-  // runs the same two list rounds in one process through the serve
+  // runs the same two list rounds in one sisd_serve process through the
   // protocol (list_history records one entry per call, so the reference
   // must use the same call granularity), which also pins CLI list mining
   // and the mine_list verb to identical snapshot bytes.
@@ -148,7 +161,7 @@ TEST_F(CliSmokeTest, ListMinesAndResumesByteIdentically) {
            << R"({"id":4,"verb":"save","session":"s","path":")"
            << Path("list_unbroken.json") << R"("})" << "\n";
   }
-  ASSERT_EQ(RunCli("serve --script " + Path("list_serve.jsonl")), 0);
+  ASSERT_EQ(ReplayThroughServe(Path("list_serve.jsonl")), 0);
   const std::string grown = ReadFile(Path("list_grown.json"));
   ASSERT_FALSE(grown.empty());
   EXPECT_EQ(grown, ReadFile(Path("list_unbroken.json")))
@@ -178,7 +191,7 @@ TEST_F(CliSmokeTest, UnknownFlagAfterSubcommandPrintsUsageToStderr) {
   EXPECT_EQ(RunCli("list --scenario synthetic --compare-beam"), 2);
 }
 
-TEST_F(CliSmokeTest, ServeSubcommandAnswersProtocolScript) {
+TEST_F(CliSmokeTest, ServeScriptAnswersMineAndMineList) {
   {
     std::ofstream script(Path("serve.jsonl"));
     script << R"({"id":1,"verb":"open","session":"s","scenario":"synthetic",)"
@@ -188,12 +201,7 @@ TEST_F(CliSmokeTest, ServeSubcommandAnswersProtocolScript) {
            << R"({"id":3,"verb":"mine_list","session":"s","rules":1})"
            << "\n";
   }
-  const std::string command = std::string(SISD_CLI_BIN) +
-                              " serve --script " + Path("serve.jsonl") +
-                              " > " + Path("serve.out") + " 2> /dev/null";
-  const int rc = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(rc));
-  ASSERT_EQ(WEXITSTATUS(rc), 0);
+  ASSERT_EQ(ReplayThroughServe(Path("serve.jsonl"), Path("serve.out")), 0);
   const std::string out = ReadFile(Path("serve.out"));
   EXPECT_NE(out.find("\"id\":1"), std::string::npos);
   EXPECT_NE(out.find("\"ok\":true"), std::string::npos);
@@ -206,6 +214,12 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
   EXPECT_EQ(RunCli("help"), 0);
   EXPECT_NE(RunCli(""), 0);
   EXPECT_NE(RunCli("frobnicate"), 0);
+  // The session server is sisd_serve; `serve` is no sisd_cli subcommand.
+  EXPECT_EQ(RunCli("serve --script " + Path("missing.jsonl"),
+                   Path("serve_err.txt")),
+            2);
+  EXPECT_NE(ReadFile(Path("serve_err.txt")).find("unknown subcommand 'serve'"),
+            std::string::npos);
   EXPECT_NE(RunCli("mine"), 0);                       // no input source
   EXPECT_NE(RunCli("mine --scenario nope"), 0);       // unknown scenario
   EXPECT_NE(RunCli("mine --csv " + Path("missing.csv") + " --targets t"), 0);

@@ -32,9 +32,8 @@ core::MinerConfig TinyConfig() {
 
 TEST(ServeHammerTest, InterleavedVerbsStayRaceFreeAndTyped) {
   ServeConfig config;
-  config.max_resident = 2;   // force eviction churn under contention
-  config.num_shards = 4;
-  config.num_threads = 2;    // shared pool exercised concurrently
+  config.max_resident = 2;  // force eviction churn under contention
+  config.num_threads = 2;   // shared pool exercised concurrently
   SessionManager manager(config);
 
   constexpr int kThreads = 4;
@@ -52,7 +51,7 @@ TEST(ServeHammerTest, InterleavedVerbsStayRaceFreeAndTyped) {
       return;
     }
     for (int op = 0; op < kOpsPerThread; ++op) {
-      // Every thread also pokes a neighbour's session, so shard and entry
+      // Every thread also pokes a neighbour's session, so map and entry
       // locks interleave across threads (not just across names).
       const std::string other =
           "worker-" + std::to_string((worker_id + 1) % kThreads);
@@ -118,6 +117,9 @@ TEST(ServeHammerTest, InterleavedVerbsStayRaceFreeAndTyped) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(hard_failures.load(), 0);
+  // Every call re-runs the eviction policy on its way out, failed ones
+  // (an exhausted first mine after a restore) included, so the budget
+  // holds once the threads have joined.
   const ManagerStats stats = manager.Stats();
   EXPECT_EQ(stats.sessions, size_t(kThreads));
   EXPECT_LE(stats.resident, config.max_resident);

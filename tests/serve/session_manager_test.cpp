@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "common/strings.hpp"
 #include "datagen/scenarios.hpp"
@@ -228,6 +229,54 @@ TEST(SessionManagerTest, CloneIsDetachedFromOriginal) {
   EXPECT_EQ(managed.Value().iterations.at(0).location,
             clone.Value().history().back().location.Describe(
                 clone.Value().dataset().descriptions));
+}
+
+TEST(SessionManagerTest, FailedOperationsKeepResidentWithinBudget) {
+  // Capacity 1: every call below restores the spilled session and then
+  // fails (or takes the no-op rebase path). The eviction policy must
+  // still run afterwards, so the session touched before is spilled again.
+  ServeConfig config;
+  config.max_resident = 1;  // and no spill dir
+  SessionManager manager(config);
+  Result<catalog::PinnedDataset> preloaded =
+      PreloadDataset(*manager.catalog(), "synthetic");
+  ASSERT_TRUE(preloaded.ok()) << preloaded.status().ToString();
+  const std::string ref = preloaded.Value().dataset->name;
+  ASSERT_TRUE(manager.OpenRef("a", ref, FastConfig()).ok());
+  ASSERT_TRUE(manager.OpenRef("b", ref, FastConfig()).ok());
+  ASSERT_EQ(manager.Stats().resident, 1u);
+
+  std::string spilled = "a";  // opening b spilled a
+  std::string resident = "b";
+  auto expect_within_budget = [&](StatusCode got, StatusCode want,
+                                  const char* call) {
+    EXPECT_EQ(got, want) << call << " on " << spilled;
+    EXPECT_EQ(manager.Stats().resident, 1u) << call << " on " << spilled;
+    std::swap(spilled, resident);  // the call restored `spilled`
+  };
+  expect_within_budget(manager.Mine(spilled, 1, 7).status().code(),
+                       StatusCode::kConflict, "Mine");
+  const IntentionBuilder never_called =
+      [](const core::MiningSession&) -> Result<pattern::Intention> {
+    return pattern::Intention();
+  };
+  expect_within_budget(
+      manager.Assimilate(spilled, never_called, 7).status().code(),
+      StatusCode::kConflict, "Assimilate");
+  expect_within_budget(
+      manager.ExportCsv(spilled, "ranked", std::nullopt).status().code(),
+      StatusCode::kInvalidArgument, "ExportCsv");
+  expect_within_budget(manager.Save(spilled, "").status().code(),
+                       StatusCode::kInvalidArgument, "Save");
+  expect_within_budget(manager.Close(spilled, true, "").code(),
+                       StatusCode::kInvalidArgument, "Close");
+  Result<RebaseInfo> rebased =
+      manager.Rebase(spilled, ref, std::nullopt);
+  ASSERT_TRUE(rebased.ok()) << rebased.status().ToString();
+  EXPECT_TRUE(rebased.Value().reused);
+  expect_within_budget(StatusCode::kOk, StatusCode::kOk, "Rebase");
+
+  EXPECT_EQ(manager.Stats().sessions, 2u);
 }
 
 TEST(SessionManagerTest, LifecycleErrorsAreTyped) {

@@ -9,9 +9,6 @@
 //           save the grown session back.
 //   export  flatten a snapshot's history / ranked lists to CSV, or
 //           pretty-print the raw snapshot JSON.
-//   serve   drive an in-process sisd_serve session server end to end:
-//           read protocol requests from a script file or stdin, answer
-//           on stdout (the smoke-test entry point for docs/PROTOCOL.md).
 //   optimal mine the provably-optimal location pattern with the parallel
 //           branch-and-bound (search/optimal_search.hpp), optionally
 //           measuring beam search's optimality gap (--compare-beam).
@@ -30,13 +27,12 @@
 //   sisd_cli mine --csv data.csv --targets price,rent --min-coverage 20
 //   sisd_cli resume --session s.json --iterations 2
 //   sisd_cli export --session s.json --history history.csv
-//   sisd_cli serve --script requests.jsonl
+//
+// The session server (docs/PROTOCOL.md) is the separate sisd_serve binary.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -44,7 +40,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "catalog/fingerprint.hpp"
 #include "common/status.hpp"
 #include "common/strings.hpp"
 #include "core/export.hpp"
@@ -56,9 +51,6 @@
 #include "search/optimal_search.hpp"
 #include "search/si_evaluator.hpp"
 #include "serialize/json.hpp"
-#include "serve/server.hpp"
-#include "serve/service.hpp"
-#include "serve/session_manager.hpp"
 
 namespace sisd {
 namespace {
@@ -70,8 +62,6 @@ USAGE
   sisd_cli resume --session FILE [--iterations N] [--session-save OUT]
   sisd_cli export --session FILE [--history OUT.csv]
                   [--ranked OUT.csv [--iteration K]] [--json OUT.json]
-  sisd_cli serve [--script FILE] [--max-resident N] [--spill-dir DIR]
-                 [--threads N] [--catalog-bytes N] [--preload SPEC]...
   sisd_cli optimal (--csv FILE --targets A[,B...] | --scenario NAME)
                    [--max-depth N] [--min-coverage N] [--splits N]
                    [--threads N] [--time-budget S] [--gamma X] [--eta X]
@@ -148,16 +138,6 @@ EXPORT
   --ranked FILE         the ranked top-k list of --iteration K (default:
                         the last iteration) as CSV
   --json FILE           the snapshot itself, pretty-printed
-
-SERVE
-  Runs the sisd_serve protocol (docs/PROTOCOL.md) against an in-process
-  session server: one JSON request per line from --script FILE (default
-  stdin), one JSON response per line on stdout. --max-resident bounds the
-  sessions kept in memory (colder ones spill to --spill-dir and restore
-  transparently); --threads sizes the shared scoring pool. --preload
-  (repeatable) loads a scenario name or PATH=TARGET[,TARGET...] CSV into
-  the dataset catalog at startup, so sessions can open it with
-  {"dataset_ref": NAME} and share one dataset + condition pool.
 )";
 
 struct Args {
@@ -227,9 +207,6 @@ Status ValidateFlags(const Args& args) {
     add({"--session", "--csv", "--iterations", "--session-save"});
   } else if (args.command == "export") {
     add({"--session", "--history", "--ranked", "--iteration", "--json"});
-  } else if (args.command == "serve") {
-    add({"--script", "--max-resident", "--spill-dir", "--threads",
-         "--catalog-bytes", "--preload"});
   } else if (args.command == "optimal") {
     add(kInput);
     add(kSearch);
@@ -670,48 +647,6 @@ Status RunList(const Args& args) {
   return Status::OK();
 }
 
-Status RunServe(const Args& args) {
-  serve::ServeConfig config;
-  SISD_ASSIGN_OR_RETURN(
-      max_resident, FlagInt(args, "--max-resident", config.max_resident, 1));
-  config.max_resident = max_resident;
-  if (const std::string* dir = args.Find("--spill-dir")) {
-    config.spill_dir = *dir;
-  }
-  SISD_ASSIGN_OR_RETURN(threads,
-                        FlagInt(args, "--threads", config.num_threads, 0));
-  config.num_threads = threads;
-  SISD_ASSIGN_OR_RETURN(
-      catalog_bytes,
-      FlagInt(args, "--catalog-bytes", config.catalog_max_bytes));
-  config.catalog_max_bytes = catalog_bytes;
-  serve::SessionManager manager(config);
-  for (const auto& [flag, value] : args.flags) {
-    if (flag != "--preload") continue;
-    SISD_ASSIGN_OR_RETURN(loaded,
-                          serve::PreloadDataset(*manager.catalog(), value));
-    std::fprintf(stderr, "serve: preloaded '%s' fingerprint=%s bytes=%zu%s\n",
-                 loaded.dataset->name.c_str(),
-                 catalog::FingerprintToHex(loaded.fingerprint).c_str(),
-                 loaded.bytes, loaded.reused ? " (reused)" : "");
-  }
-
-  serve::ServeLoopStats stats;
-  if (const std::string* script = args.Find("--script")) {
-    std::ifstream in(*script);
-    if (!in) {
-      return Status::IOError("cannot open script '" + *script + "'");
-    }
-    stats = serve::ServeStream(manager, in, std::cout);
-  } else {
-    stats = serve::ServeStream(manager, std::cin, std::cout);
-  }
-  std::fprintf(stderr, "serve: %llu requests, %llu errors\n",
-               static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.errors));
-  return Status::OK();
-}
-
 int Main(int argc, char** argv) {
   Result<Args> args = ParseArgs(argc, argv);
   if (!args.ok()) {
@@ -737,8 +672,6 @@ int Main(int argc, char** argv) {
     status = RunAppend(args.Value());
   } else if (args.Value().command == "export") {
     status = RunExport(args.Value());
-  } else if (args.Value().command == "serve") {
-    status = RunServe(args.Value());
   } else if (args.Value().command == "optimal") {
     status = RunOptimal(args.Value());
   } else if (args.Value().command == "list") {

@@ -74,7 +74,6 @@ SERVICE OPTIONS
   --spill-dir DIR    directory for eviction/save snapshots (default: spill
                      to in-memory snapshots; 'save' then needs a 'path')
   --threads N        shared scoring-pool workers (default 1, 0 = auto)
-  --shards N         shards of the session map (default 8)
   --catalog-bytes N  dataset-catalog byte budget before LRU drop of
                      unreferenced datasets (default 0 = unlimited)
   --max-line-bytes N request-line length bound for every transport
@@ -199,12 +198,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
             "--threads must be in 0..256 (0 = auto)");
       }
       args.config.num_threads = int(n);
-    } else if (flag == "--shards") {
-      SISD_ASSIGN_OR_RETURN(n, ParseIntFlag(flag, value));
-      if (n < 1 || n > 4096) {
-        return Status::InvalidArgument("--shards must be in 1..4096");
-      }
-      args.config.num_shards = size_t(n);
     } else if (flag == "--catalog-bytes") {
       SISD_ASSIGN_OR_RETURN(n, ParseIntFlag(flag, value));
       if (n < 0) {
@@ -253,10 +246,8 @@ int Main(int argc, char** argv) {
                  loaded.Value().reused ? " (reused)" : "");
   }
   std::fprintf(stderr,
-               "sisd_serve: max_resident=%zu shards=%zu workers=%zu "
-               "spill=%s\n",
+               "sisd_serve: max_resident=%zu workers=%zu spill=%s\n",
                std::max<size_t>(args.config.max_resident, 1),
-               std::max<size_t>(args.config.num_shards, 1),
                manager.thread_pool()->num_workers(),
                args.config.spill_dir.empty()
                    ? "<memory>"
