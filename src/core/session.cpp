@@ -29,6 +29,17 @@ std::string ScoredSpreadPattern::Describe(const data::DataTable& table) const {
                    score.ic, score.dl, score.si);
 }
 
+Status ValidateMinerConfig(const MinerConfig& config) {
+  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
+  SISD_RETURN_NOT_OK(si::ValidateDescriptionLengthParams(config.dl));
+  if (config.spread_sparsity != 0 && config.spread_sparsity != 2) {
+    return Status::InvalidArgument(
+        StrFormat("spread_sparsity must be 0 or 2 (got %d)",
+                  config.spread_sparsity));
+  }
+  return Status::OK();
+}
+
 Result<MiningSession> MiningSession::Create(data::Dataset dataset,
                                             MinerConfig config) {
   return Create(std::make_shared<const data::Dataset>(std::move(dataset)),
@@ -38,7 +49,7 @@ Result<MiningSession> MiningSession::Create(data::Dataset dataset,
 Result<MiningSession> MiningSession::Create(
     std::shared_ptr<const data::Dataset> dataset, MinerConfig config) {
   // Checked before the pool build, which aborts on a split count below 1.
-  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(config));
   std::shared_ptr<const search::ConditionPool> pool;
   if (dataset != nullptr) {
     pool = std::make_shared<const search::ConditionPool>(
@@ -60,7 +71,7 @@ Result<MiningSession> MiningSession::Create(
   if (!pool) {
     return Status::InvalidArgument("session needs a non-null condition pool");
   }
-  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(config));
   SISD_RETURN_NOT_OK(dataset->Validate());
   if (dataset->num_rows() < 2) {
     return Status::InvalidArgument("dataset needs at least two rows");
@@ -439,7 +450,7 @@ Result<MiningSession> MiningSession::RestoreFromString(
   SISD_ASSIGN_OR_RETURN(config_json, root.Get("config"));
   SISD_ASSIGN_OR_RETURN(config, DecodeMinerConfig(*config_json));
   // The session below is built directly, not through `Create`.
-  SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(config));
 
   // The dataset is stored inline (self-contained snapshot) or as a
   // `dataset_ref` the catalog resolves; a catalog also lets an inline

@@ -71,6 +71,13 @@ struct MinerConfig {
   si::ListGainParams list_gain;
 };
 
+/// \brief Returns InvalidArgument unless `config` can drive a session:
+/// `search::ValidateSearchConfig`, `si::ValidateDescriptionLengthParams`,
+/// and `spread_sparsity` 0 or 2. Every path that builds a session from an
+/// outside config (a client's `open`, a loaded snapshot) checks it before
+/// building anything.
+Status ValidateMinerConfig(const MinerConfig& config);
+
 /// \brief A fully scored location pattern.
 struct ScoredLocationPattern {
   pattern::LocationPattern pattern;

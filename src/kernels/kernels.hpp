@@ -4,7 +4,8 @@
 /// The batch evaluation engine spends nearly all of its time in a handful of
 /// tight loops over 64-bit bitset blocks and the contiguous dy=1 target
 /// column: masked popcounts (candidate coverage, per-group counts), fused
-/// intersect+count, and masked target sums (subgroup means). This module
+/// intersect+count, and masked target sums over `a & b` (subgroup means; a
+/// materialized extension `e` is passed as `e & e`). This module
 /// lifts those loops into a flat kernel family — in the style of gnumeric's
 /// `range_*` functions — with two interchangeable implementations:
 ///
@@ -101,11 +102,8 @@ struct KernelTable {
   /// `out[i] = a[i] | b[i]`; returns the popcount of the result.
   size_t (*or_into)(const uint64_t* a, const uint64_t* b, uint64_t* out,
                     size_t num_blocks);
-  /// Sum of `values[i]` over rows with `mask` bit set (lane contract).
-  double (*masked_sum)(const double* values, const uint64_t* mask,
-                       size_t num_blocks);
-  /// Sum of `values[i]` over rows of `a & b` (lane contract). Bit-identical
-  /// to `masked_sum` on the materialized intersection.
+  /// Sum of `values[i]` over rows of `a & b` (lane contract). A caller
+  /// holding one materialized mask `m` passes `(m, m)`: `m & m = m`.
   double (*masked_sum_and)(const double* values, const uint64_t* a,
                            const uint64_t* b, size_t num_blocks);
   /// Fused count + sum + sum-of-squares over rows of `a & b`, accumulators
@@ -163,10 +161,6 @@ inline size_t AndInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
 inline size_t OrInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
                      size_t num_blocks) {
   return Active().or_into(a, b, out, num_blocks);
-}
-inline double MaskedSum(const double* values, const uint64_t* mask,
-                        size_t num_blocks) {
-  return Active().masked_sum(values, mask, num_blocks);
 }
 inline double MaskedSumAnd(const double* values, const uint64_t* a,
                            const uint64_t* b, size_t num_blocks) {

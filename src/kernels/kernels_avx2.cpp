@@ -178,21 +178,6 @@ inline void AccumulateSumBlockTail(const double* v, uint64_t m,
   }
 }
 
-double Avx2MaskedSum(const double* values, const uint64_t* mask,
-                     size_t num_blocks) {
-  __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
-                    _mm256_setzero_pd(), _mm256_setzero_pd()};
-  if (num_blocks == 0) return 0.0;
-  for (size_t i = 0; i + 1 < num_blocks; ++i) {
-    const uint64_t m = mask[i];
-    if (m == 0) continue;
-    AccumulateSumBlockFull(values + (i << 6), m, acc);
-  }
-  AccumulateSumBlockTail(values + ((num_blocks - 1) << 6),
-                         mask[num_blocks - 1], acc);
-  return ReduceLanes(acc[0], acc[1], acc[2], acc[3]);
-}
-
 double Avx2MaskedSumAnd(const double* values, const uint64_t* a,
                         const uint64_t* b, size_t num_blocks) {
   __m256d acc[4] = {_mm256_setzero_pd(), _mm256_setzero_pd(),
@@ -261,8 +246,8 @@ MaskedMoments Avx2MaskedMomentsAnd(const double* values, const uint64_t* a,
 const KernelTable* Avx2KernelsOrNull() {
   static constexpr KernelTable table = {
       "avx2",         Avx2CountAnd2, Avx2CountAnd3,
-      Avx2AndInto,    Avx2OrInto,    Avx2MaskedSum,
-      Avx2MaskedSumAnd, Avx2MaskedMomentsAnd,
+      Avx2AndInto,    Avx2OrInto,    Avx2MaskedSumAnd,
+      Avx2MaskedMomentsAnd,
   };
   return &table;
 }

@@ -111,20 +111,6 @@ inline void AccumulateSumBlockTail(const double* v, uint64_t m,
   }
 }
 
-double ScalarMaskedSum(const double* values, const uint64_t* mask,
-                       size_t num_blocks) {
-  double acc[16] = {0.0};
-  if (num_blocks == 0) return 0.0;
-  for (size_t i = 0; i + 1 < num_blocks; ++i) {
-    const uint64_t m = mask[i];
-    if (m == 0) continue;
-    AccumulateSumBlockFull(values + (i << 6), m, acc);
-  }
-  AccumulateSumBlockTail(values + ((num_blocks - 1) << 6),
-                         mask[num_blocks - 1], acc);
-  return ReduceLanes(acc);
-}
-
 double ScalarMaskedSumAnd(const double* values, const uint64_t* a,
                           const uint64_t* b, size_t num_blocks) {
   double acc[16] = {0.0};
@@ -207,8 +193,8 @@ MaskedMoments ScalarMaskedMomentsAnd(const double* values, const uint64_t* a,
 const KernelTable& ScalarKernels() {
   static constexpr KernelTable table = {
       "scalar",         ScalarCountAnd2, ScalarCountAnd3,
-      ScalarAndInto,    ScalarOrInto,    ScalarMaskedSum,
-      ScalarMaskedSumAnd, ScalarMaskedMomentsAnd,
+      ScalarAndInto,    ScalarOrInto,    ScalarMaskedSumAnd,
+      ScalarMaskedMomentsAnd,
   };
   return table;
 }

@@ -146,19 +146,8 @@ double BackgroundModel::GroupLogDetSigma(size_t g) const {
 std::vector<size_t> BackgroundModel::GroupCounts(
     const pattern::Extension& extension) const {
   std::vector<size_t> counts;
-  GroupCountsInto(extension, &counts);
+  GroupCountsMaskedInto(extension, extension, &counts);
   return counts;
-}
-
-void BackgroundModel::GroupCountsInto(const pattern::Extension& extension,
-                                      std::vector<size_t>* out) const {
-  SISD_CHECK(extension.universe_size() == num_rows_);
-  SISD_CHECK(out != nullptr);
-  out->resize(groups_.size());
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    (*out)[g] = pattern::Extension::IntersectionCount(groups_[g].rows,
-                                                      extension);
-  }
 }
 
 void BackgroundModel::GroupCountsMaskedInto(const pattern::Extension& a,

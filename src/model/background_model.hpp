@@ -147,16 +147,14 @@ class BackgroundModel {
   double GroupLogDetSigma(size_t g) const;
 
   /// Number of rows of each group inside `extension`
-  /// (vector indexed by group id).
+  /// (vector indexed by group id). Shorthand for
+  /// `GroupCountsMaskedInto(extension, extension, ...)`.
   std::vector<size_t> GroupCounts(const pattern::Extension& extension) const;
 
-  /// Allocation-free variant: writes the per-group counts into `*out`
-  /// (resized to `num_groups()` if needed).
-  void GroupCountsInto(const pattern::Extension& extension,
-                       std::vector<size_t>* out) const;
-
   /// Per-group counts of the *virtual* extension `a & b`, computed with a
-  /// fused masked popcount (nothing materialized).
+  /// fused masked popcount (nothing materialized); writes into `*out`
+  /// (resized to `num_groups()` if needed). A caller holding a materialized
+  /// extension `e` passes `(e, e)`.
   void GroupCountsMaskedInto(const pattern::Extension& a,
                              const pattern::Extension& b,
                              std::vector<size_t>* out) const;

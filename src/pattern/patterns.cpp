@@ -49,34 +49,8 @@ std::string SpreadPattern::ToString(const data::DataTable& table) const {
 linalg::Vector SubgroupMean(const linalg::Matrix& y,
                             const Extension& extension) {
   linalg::Vector mean;
-  SubgroupMeanInto(y, extension, &mean);
+  MaskedSubgroupMeanInto(y, extension, extension, extension.count(), &mean);
   return mean;
-}
-
-void SubgroupMeanInto(const linalg::Matrix& y, const Extension& extension,
-                      linalg::Vector* out) {
-  SISD_CHECK(!extension.empty());
-  SISD_CHECK(extension.universe_size() == y.rows());
-  SISD_CHECK(out != nullptr);
-  if (out->size() != y.cols()) *out = linalg::Vector(y.cols());
-  linalg::Vector& mean = *out;
-  const size_t cols = y.cols();
-  if (cols == 1) {
-    // Univariate targets are one contiguous array, so the masked-sum kernel
-    // (SIMD when available) applies directly against the extension's blocks.
-    extension.DebugCheckTailMasked();
-    const double sum =
-        kernels::MaskedSum(y.RowData(0), extension.blocks().data(),
-                           extension.blocks().size());
-    mean[0] = sum / double(extension.count());
-    return;
-  }
-  mean.Fill(0.0);
-  extension.ForEachRow([&y, &mean, cols](size_t i) {
-    const double* row = y.RowData(i);
-    for (size_t c = 0; c < cols; ++c) mean[c] += row[c];
-  });
-  mean /= double(extension.count());
 }
 
 void MaskedSubgroupMeanInto(const linalg::Matrix& y, const Extension& a,
@@ -91,9 +65,7 @@ void MaskedSubgroupMeanInto(const linalg::Matrix& y, const Extension& a,
   if (cols == 1) {
     // Univariate targets are one contiguous array; the fused masked-sum
     // kernel folds the a&b intersection into the accumulation (this is the
-    // single hottest loop of the whole miner). Bit-identical to
-    // SubgroupMean(y, Intersect(a, b)) because both route through the same
-    // lane-contract kernel.
+    // single hottest loop of the whole miner).
     SISD_CHECK(a.universe_size() == b.universe_size());
     a.DebugCheckTailMasked();
     b.DebugCheckTailMasked();

@@ -61,19 +61,15 @@ struct SpreadPattern {
 };
 
 /// \brief Empirical subgroup mean of targets: Eq. (1) evaluated on data.
+/// Shorthand for `MaskedSubgroupMeanInto(y, e, e, e.count(), ...)`.
 linalg::Vector SubgroupMean(const linalg::Matrix& y,
                             const Extension& extension);
 
-/// \brief Allocation-free variant of `SubgroupMean`: writes the mean into
-/// `*out` (resized to `y.cols()` if needed; no allocation once sized).
-/// Bit-identical accumulation order to `SubgroupMean`.
-void SubgroupMeanInto(const linalg::Matrix& y, const Extension& extension,
-                      linalg::Vector* out);
-
-/// \brief Masked target-sum kernel: the empirical mean of `y` over the rows
-/// of `a & b`, without materializing the intersection. `count` must equal
-/// `Extension::IntersectionCount(a, b)` and be positive. Bit-identical to
-/// `SubgroupMean(y, Intersect(a, b))`.
+/// \brief The empirical mean of `y` over the rows of `a & b`, without
+/// materializing the intersection; writes into `*out` (resized to `y.cols()`
+/// if needed, no allocation once sized). `count` must equal
+/// `Extension::IntersectionCount(a, b)` and be positive. A caller holding a
+/// materialized extension `e` passes `(e, e, e.count())`.
 void MaskedSubgroupMeanInto(const linalg::Matrix& y, const Extension& a,
                             const Extension& b, size_t count,
                             linalg::Vector* out);

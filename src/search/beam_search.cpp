@@ -220,6 +220,9 @@ Status ValidateSearchConfig(const SearchConfig& config) {
           StrFormat("%s must be >= 1 (got %d)", name, value));
     }
   }
+  if (config.top_k == 0) {
+    return Status::InvalidArgument("top_k must be >= 1 (got 0)");
+  }
   if (!(config.max_coverage_fraction >= 0.0 &&
         config.max_coverage_fraction <= 1.0)) {
     return Status::InvalidArgument(

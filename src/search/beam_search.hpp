@@ -56,10 +56,9 @@ struct SearchConfig {
 };
 
 /// \brief Returns InvalidArgument unless `config` can drive a search:
-/// `beam_width`, `max_depth` and `num_split_points` at least 1 and
-/// `max_coverage_fraction` in [0, 1]. Every path that builds a session
-/// from an outside config (a client's `open`, a loaded snapshot) checks it
-/// before building anything.
+/// `beam_width`, `max_depth`, `num_split_points` and `top_k` at least 1 and
+/// `max_coverage_fraction` in [0, 1]. Sessions check it through
+/// `core::ValidateMinerConfig`.
 Status ValidateSearchConfig(const SearchConfig& config);
 
 /// \brief Quality callback: returns the score of a candidate subgroup.

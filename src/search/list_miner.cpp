@@ -30,6 +30,26 @@ std::vector<std::vector<double>> CopyTargetColumns(
   return columns;
 }
 
+/// Per-column moments of the materialized `rows` (passed to the fused
+/// kernel as `rows & rows`), with the local normal model fitted to them
+/// written into `*model`. Returns the moments for callers that also score
+/// the rows.
+std::vector<kernels::MaskedMoments> FitLocalModel(
+    const std::vector<std::vector<double>>& columns,
+    const pattern::Extension& rows, double variance_floor,
+    si::LocalNormalModel* model) {
+  std::vector<kernels::MaskedMoments> moments(columns.size());
+  const uint64_t* blocks = rows.blocks().data();
+  const size_t num_blocks = rows.blocks().size();
+  for (size_t j = 0; j < columns.size(); ++j) {
+    moments[j] = kernels::MaskedMomentsAnd(columns[j].data(), blocks, blocks,
+                                           num_blocks);
+  }
+  si::FitLocalNormalModel(moments.data(), moments.size(), variance_floor,
+                          model);
+  return moments;
+}
+
 /// Engine evaluator: scores a candidate by the list gain of the rows it
 /// would newly capture, through the fused masked-moments kernel — the
 /// captured set `parent & uncovered & condition` is never materialized
@@ -166,7 +186,6 @@ ListMineStats ExtendImpl(const data::DataTable& table,
   SISD_CHECK(list != nullptr);
   ListMineStats stats;
   const std::vector<std::vector<double>> columns = CopyTargetColumns(targets);
-  const size_t dy = columns.size();
   const size_t min_captured = std::max<size_t>(1, config.min_captured);
   const size_t max_rules = size_t(std::max(1, config.max_rules));
 
@@ -203,15 +222,8 @@ ListMineStats ExtendImpl(const data::DataTable& table,
     rule.extension = best.extension;
     rule.captured =
         pattern::Extension::Intersect(best.extension, list->uncovered);
-    std::vector<kernels::MaskedMoments> moments(dy);
-    const uint64_t* blocks = rule.captured.blocks().data();
-    const size_t num_blocks = rule.captured.blocks().size();
-    for (size_t j = 0; j < dy; ++j) {
-      moments[j] = kernels::MaskedMomentsAnd(columns[j].data(), blocks,
-                                             blocks, num_blocks);
-    }
-    si::FitLocalNormalModel(moments.data(), dy, config.gain.variance_floor,
-                            &rule.local);
+    FitLocalModel(columns, rule.captured, config.gain.variance_floor,
+                  &rule.local);
     rule.gain = best.quality;
     ReplaySubgroupRule(std::move(rule), list);
     ++stats.rules_appended;
@@ -232,16 +244,8 @@ SubgroupList MakeEmptySubgroupList(const linalg::Matrix& targets,
     list.default_model.variance = linalg::Vector(dy, gain.variance_floor);
     return list;
   }
-  const std::vector<std::vector<double>> columns = CopyTargetColumns(targets);
-  std::vector<kernels::MaskedMoments> moments(dy);
-  const uint64_t* blocks = list.uncovered.blocks().data();
-  const size_t num_blocks = list.uncovered.blocks().size();
-  for (size_t j = 0; j < dy; ++j) {
-    moments[j] = kernels::MaskedMomentsAnd(columns[j].data(), blocks, blocks,
-                                           num_blocks);
-  }
-  si::FitLocalNormalModel(moments.data(), dy, gain.variance_floor,
-                          &list.default_model);
+  FitLocalModel(CopyTargetColumns(targets), list.uncovered,
+                gain.variance_floor, &list.default_model);
   return list;
 }
 
@@ -291,19 +295,12 @@ Result<SubgroupRule> RederiveSubgroupRule(const data::DataTable& table,
   }
   // Same moments → fit → gain arithmetic the miner runs at append time
   // (kernel lane contract: self-masked moments equal materialized ones).
-  const std::vector<std::vector<double>> columns = CopyTargetColumns(targets);
-  const size_t dy = columns.size();
-  std::vector<kernels::MaskedMoments> moments(dy);
-  const uint64_t* blocks = rule.captured.blocks().data();
-  const size_t num_blocks = rule.captured.blocks().size();
-  for (size_t j = 0; j < dy; ++j) {
-    moments[j] = kernels::MaskedMomentsAnd(columns[j].data(), blocks, blocks,
-                                           num_blocks);
-  }
-  si::FitLocalNormalModel(moments.data(), dy, gain.variance_floor,
-                          &rule.local);
-  rule.gain = si::ListGainFromMoments(moments.data(), dy, list.default_model,
-                                      intention.size(), gain);
+  const std::vector<kernels::MaskedMoments> moments =
+      FitLocalModel(CopyTargetColumns(targets), rule.captured,
+                    gain.variance_floor, &rule.local);
+  rule.gain = si::ListGainFromMoments(moments.data(), moments.size(),
+                                      list.default_model, intention.size(),
+                                      gain);
   return rule;
 }
 

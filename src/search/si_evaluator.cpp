@@ -24,22 +24,15 @@ void SiLocationEvaluator::ScoreChunk(const CandidateBatch& batch,
   SISD_DCHECK(worker < contexts_.size());
   si::EvaluationContext& context = contexts_[worker];
   linalg::Vector& mean = *context.scratch_mean();
-  const bool univariate = context.has_univariate_targets();
   for (size_t i = begin; i < end; ++i) {
     const CandidateBatch::Item& item = batch.items[i];
     const pattern::Extension& parent = batch.parent_extension(item);
     const pattern::Extension& condition = batch.condition_extension(item);
-    if (univariate) {
-      // dy == 1: one fused pass yields count + sum (+ sum of squares); the
-      // sum is bit-identical to the MaskedSubgroupMeanInto path, and the
-      // kernel's own popcount cross-checks the batch's cached count.
-      const kernels::MaskedMoments moments =
-          context.MaskedTargetMomentsAnd(parent, condition);
-      SISD_DCHECK(moments.count == item.count);
-      mean[0] = moments.sum / double(item.count);
-    } else {
-      context.MaskedSubgroupMeanInto(parent, condition, item.count, &mean);
-    }
+    // Candidate generation already counted `parent & condition`, so the
+    // mean is a sum-only pass over the intersection.
+    SISD_DCHECK(pattern::Extension::IntersectionCount(parent, condition) ==
+                item.count);
+    context.MaskedSubgroupMeanInto(parent, condition, item.count, &mean);
     scores[i] = context
                     .ScoreLocationMasked(parent, condition, item.count, mean,
                                          batch.depth, dl_)
@@ -51,8 +44,10 @@ void SiLocationEvaluator::ScoreChunk(const CandidateBatch& batch,
 si::LocationScore SiLocationEvaluator::ScoreSubgroup(
     const pattern::Extension& extension, const linalg::Vector& empirical_mean,
     size_t num_conditions) {
-  return contexts_.front().ScoreLocation(extension, empirical_mean,
-                                         num_conditions, dl_);
+  return contexts_.front().ScoreLocationMasked(extension, extension,
+                                               extension.count(),
+                                               empirical_mean, num_conditions,
+                                               dl_);
 }
 
 }  // namespace sisd::search

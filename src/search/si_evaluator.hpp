@@ -8,6 +8,11 @@
 /// scratch buffers and the marginal-factorization cache are per worker.
 /// Scores are pure functions of the candidate, so the search output is
 /// bit-identical for any thread count.
+///
+/// Every target dimension takes the same path: the batch item already
+/// carries `|parent & condition|`, so the subgroup mean is one sum-only
+/// masked pass (no recount) and the SI reads the per-group counts of the
+/// same virtual intersection.
 
 #ifndef SISD_SEARCH_SI_EVALUATOR_HPP_
 #define SISD_SEARCH_SI_EVALUATOR_HPP_
@@ -40,8 +45,9 @@ class SiLocationEvaluator final : public BatchEvaluator {
                   size_t worker, double* scores) override;
 
   /// Full (IC, DL, SI) of one materialized subgroup through worker 0's
-  /// context — the miner uses this to rescore the final top-k without
-  /// rebuilding factorizations (the search already populated the caches).
+  /// context, passed as `extension & extension` — the miner uses this to
+  /// rescore the final top-k without rebuilding factorizations (the search
+  /// already populated the caches).
   si::LocationScore ScoreSubgroup(const pattern::Extension& extension,
                                   const linalg::Vector& empirical_mean,
                                   size_t num_conditions);

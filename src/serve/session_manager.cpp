@@ -307,7 +307,7 @@ Result<SessionInfo> SessionManager::OpenPinned(const std::string& name,
                                                catalog::PinnedDataset pinned,
                                                core::MinerConfig config) {
   // Checked before the catalog builds a pool from the config.
-  if (Status valid = search::ValidateSearchConfig(config.search);
+  if (Status valid = core::ValidateMinerConfig(config);
       !valid.ok()) {
     catalog_->Unpin(pinned.fingerprint);
     return valid;

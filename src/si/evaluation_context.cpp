@@ -25,17 +25,6 @@ EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
   model.WarmGroupCaches();
 }
 
-double EvaluationContext::LocationIC(const pattern::Extension& extension,
-                                     const linalg::Vector& empirical_mean) {
-  SISD_CHECK(!extension.empty());
-  if (model_->num_groups() == 1) {
-    counts_.assign(1, extension.count());
-  } else {
-    model_->GroupCountsInto(extension, &counts_);
-  }
-  return ICFromCounts(extension.count(), empirical_mean);
-}
-
 double EvaluationContext::LocationICMasked(
     const pattern::Extension& a, const pattern::Extension& b, size_t count,
     const linalg::Vector& empirical_mean) {
@@ -48,16 +37,6 @@ double EvaluationContext::LocationICMasked(
   return ICFromCounts(count, empirical_mean);
 }
 
-LocationScore EvaluationContext::ScoreLocation(
-    const pattern::Extension& extension, const linalg::Vector& empirical_mean,
-    size_t num_conditions, const DescriptionLengthParams& params) {
-  LocationScore score;
-  score.ic = LocationIC(extension, empirical_mean);
-  score.dl = LocationDescriptionLength(num_conditions, params);
-  score.si = score.ic / score.dl;
-  return score;
-}
-
 LocationScore EvaluationContext::ScoreLocationMasked(
     const pattern::Extension& a, const pattern::Extension& b, size_t count,
     const linalg::Vector& empirical_mean, size_t num_conditions,
@@ -67,12 +46,6 @@ LocationScore EvaluationContext::ScoreLocationMasked(
   score.dl = LocationDescriptionLength(num_conditions, params);
   score.si = score.ic / score.dl;
   return score;
-}
-
-void EvaluationContext::SubgroupMeanInto(const pattern::Extension& extension,
-                                         linalg::Vector* out) const {
-  SISD_CHECK(targets_ != nullptr);
-  pattern::SubgroupMeanInto(*targets_, extension, out);
 }
 
 void EvaluationContext::MaskedSubgroupMeanInto(const pattern::Extension& a,

@@ -12,6 +12,10 @@
 /// scoring is free of per-candidate heap allocations (the cache allocates
 /// only on a signature miss).
 ///
+/// Every statistic is computed over a virtual intersection `a & b`; a
+/// caller holding one materialized extension `e` passes `(e, e, e.count())`
+/// (`e & e = e`, so counts and lane-contract sums are unchanged).
+///
 /// A context is bound to one immutable model snapshot. It is NOT
 /// thread-safe; parallel scoring uses one context per worker thread (the
 /// scored values are identical regardless of which context computes them,
@@ -54,33 +58,22 @@ class EvaluationContext {
   /// The bound model snapshot.
   const model::BackgroundModel& model() const { return *model_; }
 
-  /// IC of a location pattern (Eq. 13). Bit-identical to the free function
-  /// `si::LocationIC`, without its per-call allocations.
-  double LocationIC(const pattern::Extension& extension,
-                    const linalg::Vector& empirical_mean);
-
-  /// IC of the virtual extension `a & b` with `count = |a & b| > 0`,
-  /// computed with fused masked popcounts (nothing materialized).
+  /// IC of a location pattern (Eq. 13) over the virtual extension `a & b`
+  /// with `count = |a & b| > 0`, computed with fused masked popcounts
+  /// (nothing materialized, no per-call allocation). A caller holding a
+  /// materialized extension `e` passes `(e, e, e.count())`; the free
+  /// function `si::LocationIC` does exactly that.
   double LocationICMasked(const pattern::Extension& a,
                           const pattern::Extension& b, size_t count,
                           const linalg::Vector& empirical_mean);
 
-  /// Full (IC, DL, SI) score; bit-identical to `si::ScoreLocation`.
-  LocationScore ScoreLocation(const pattern::Extension& extension,
-                              const linalg::Vector& empirical_mean,
-                              size_t num_conditions,
-                              const DescriptionLengthParams& params);
-
-  /// Masked-variant of `ScoreLocation` over the virtual extension `a & b`.
+  /// Full (IC, DL, SI) score over the virtual extension `a & b`; the free
+  /// function `si::ScoreLocation` is this with `(e, e, e.count())`.
   LocationScore ScoreLocationMasked(const pattern::Extension& a,
                                     const pattern::Extension& b, size_t count,
                                     const linalg::Vector& empirical_mean,
                                     size_t num_conditions,
                                     const DescriptionLengthParams& params);
-
-  /// Empirical subgroup mean into `*out` (requires `targets`).
-  void SubgroupMeanInto(const pattern::Extension& extension,
-                        linalg::Vector* out) const;
 
   /// Empirical mean over `a & b` into `*out` (requires `targets`).
   void MaskedSubgroupMeanInto(const pattern::Extension& a,
@@ -90,8 +83,10 @@ class EvaluationContext {
   /// Fused count + sum + sum-of-squares over the virtual extension `a & b`
   /// for univariate targets (requires `targets` with one column). A single
   /// pass over the target column; `.sum` is bit-identical to the sum the
-  /// masked subgroup-mean path computes (same lane-contract kernel), and
-  /// `.count` doubles as an integrity check against the batch's popcount.
+  /// masked subgroup-mean path computes (same lane-contract kernel). For
+  /// callers that do not know `|a & b|` yet (the optimal search's coverage
+  /// filter); a caller that already holds the count uses the sum-only
+  /// `MaskedSubgroupMeanInto` instead.
   kernels::MaskedMoments MaskedTargetMomentsAnd(
       const pattern::Extension& a, const pattern::Extension& b) const;
 

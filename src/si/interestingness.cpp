@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
+#include "common/strings.hpp"
 #include "linalg/cholesky.hpp"
 #include "si/evaluation_context.hpp"
 
@@ -14,6 +16,21 @@ namespace {
 constexpr double kLog2Pi = 1.8378770664093453;
 
 }  // namespace
+
+Status ValidateDescriptionLengthParams(const DescriptionLengthParams& params) {
+  for (const auto& [name, value] :
+       {std::pair<const char*, double>{"gamma", params.gamma},
+        {"eta", params.eta}}) {
+    if (!(std::isfinite(value) && value >= 0.0)) {
+      return Status::InvalidArgument(
+          StrFormat("%s must be finite and >= 0 (got %g)", name, value));
+    }
+  }
+  if (!(params.gamma + params.eta > 0.0)) {
+    return Status::InvalidArgument("gamma + eta must be > 0");
+  }
+  return Status::OK();
+}
 
 double LocationDescriptionLength(size_t num_conditions,
                                  const DescriptionLengthParams& params) {
@@ -31,7 +48,8 @@ double LocationIC(const model::BackgroundModel& model,
   // Thin wrapper over the allocation-free engine path; batch callers hold a
   // long-lived EvaluationContext instead of paying its setup per call.
   EvaluationContext context(model);
-  return context.LocationIC(extension, empirical_mean);
+  return context.LocationICMasked(extension, extension, extension.count(),
+                                  empirical_mean);
 }
 
 LocationScore ScoreLocation(const model::BackgroundModel& model,
@@ -40,8 +58,8 @@ LocationScore ScoreLocation(const model::BackgroundModel& model,
                             size_t num_conditions,
                             const DescriptionLengthParams& params) {
   EvaluationContext context(model);
-  return context.ScoreLocation(extension, empirical_mean, num_conditions,
-                               params);
+  return context.ScoreLocationMasked(extension, extension, extension.count(),
+                                     empirical_mean, num_conditions, params);
 }
 
 stats::Chi2MixtureApprox FitSpreadSurrogate(

@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "common/status.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "model/background_model.hpp"
@@ -26,6 +27,11 @@ struct DescriptionLengthParams {
   double gamma = 0.1;  ///< cost per condition in the intention
   double eta = 1.0;    ///< fixed cost of presenting a pattern
 };
+
+/// \brief Returns InvalidArgument unless `params` yield a positive DL for
+/// every pattern: `gamma` and `eta` finite and >= 0, `gamma + eta > 0`. A
+/// zero DL makes every SI infinite, and a negative one flips the ranking.
+Status ValidateDescriptionLengthParams(const DescriptionLengthParams& params);
 
 /// \brief DL of a location pattern with `num_conditions` conditions.
 double LocationDescriptionLength(size_t num_conditions,

@@ -5,7 +5,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -123,22 +128,61 @@ TEST(MiningSessionTest, CreateRejectsSearchConfigsTheSearchCannotRun) {
   config.search.max_coverage_fraction =
       std::numeric_limits<double>::quiet_NaN();
   EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  config = FastConfig();
+  config.search.top_k = 0;
+  EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  // Description lengths must be positive for every pattern.
+  for (const auto& [gamma, eta] :
+       {std::pair<double, double>{0.0, 0.0}, {-1.0, 0.5}, {0.1, -1.0},
+        {std::numeric_limits<double>::infinity(), 1.0},
+        {0.1, std::numeric_limits<double>::quiet_NaN()}}) {
+    config = FastConfig();
+    config.dl.gamma = gamma;
+    config.dl.eta = eta;
+    EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument)
+        << "gamma=" << gamma << " eta=" << eta;
+  }
+  for (const int sparsity : {-3, 1, 7}) {
+    config = FastConfig();
+    config.spread_sparsity = sparsity;
+    EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument)
+        << sparsity;
+  }
+  // The shared-pool overload checks the same rules.
+  config = FastConfig();
+  config.spread_sparsity = 7;
+  auto dataset = std::make_shared<const data::Dataset>(
+      datagen::MakeSyntheticEmbedded().dataset);
+  auto pool = std::make_shared<const search::ConditionPool>(
+      search::ConditionPool::Build(dataset->descriptions, 4, false));
+  EXPECT_EQ(MiningSession::Create(dataset, config, pool, std::nullopt)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MiningSessionTest, RestoreRejectsSnapshotsWithInvalidSearchConfig) {
-  // A snapshot's config is client data too: a search setting the search
-  // cannot run, or an int field beyond the int range, fails the load with
+  // A snapshot's config is client data too: a setting the miner cannot
+  // use, or an int field beyond the int range, fails the load with
   // InvalidArgument instead of aborting at the first mine or wrapping.
   Result<MiningSession> session = MiningSession::Create(
       datagen::MakeSyntheticEmbedded().dataset, FastConfig());
   ASSERT_TRUE(session.ok());
   const std::string saved = session.Value().SaveToString();
-  const std::string tag = "\"beam_width\":10";
-  ASSERT_NE(saved.find(tag), std::string::npos);
-  for (const std::string bad :
-       {"\"beam_width\":0", "\"beam_width\":-3",
-        "\"beam_width\":4294967297"}) {
+  const std::string beam_tag = "\"beam_width\":10";
+  const std::string top_k_tag = "\"top_k\":20";
+  const std::string gamma_tag = "\"gamma\":0.10000000000000001";
+  const std::string sparsity_tag = "\"spread_sparsity\":0";
+  for (const auto& [tag, bad] : std::initializer_list<
+           std::pair<std::string, std::string>>{
+           {beam_tag, "\"beam_width\":0"},
+           {beam_tag, "\"beam_width\":-3"},
+           {beam_tag, "\"beam_width\":4294967297"},
+           {top_k_tag, "\"top_k\":0"},
+           {gamma_tag, "\"gamma\":-1"},
+           {sparsity_tag, "\"spread_sparsity\":7"}}) {
     std::string text = saved;
+    ASSERT_NE(text.find(tag), std::string::npos) << tag;
     text.replace(text.find(tag), tag.size(), bad);
     Result<MiningSession> restored = MiningSession::RestoreFromString(text);
     ASSERT_FALSE(restored.ok()) << bad;

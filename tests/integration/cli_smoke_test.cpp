@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #ifndef SISD_CLI_BIN
 #error "SISD_CLI_BIN must be defined by the build system"
@@ -238,6 +239,22 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
     EXPECT_NE(ReadFile(Path("out.txt")).find(flag + " must be in"),
               std::string::npos)
         << misuse;
+  }
+  // `optimal` builds its pool and search from flags directly: values they
+  // cannot run fail naming the flag instead of aborting.
+  const std::pair<std::string, std::string> optimal_misuses[] = {
+      {"--scenario synthetic --max-depth 0", "--max-depth must be in"},
+      {"--scenario crime --splits 0 --max-depth 1", "--splits must be in"},
+      {"--scenario synthetic --max-depth 1 --gamma -1",
+       "gamma must be finite and >= 0"},
+      {"--scenario synthetic --max-depth 1 --gamma 0 --eta 0",
+       "gamma + eta must be > 0"},
+  };
+  for (const auto& [misuse, message] : optimal_misuses) {
+    const int rc = RunCli("optimal " + misuse, Path("out.txt"));
+    EXPECT_TRUE(rc == 1 || rc == 2) << misuse << " exited " << rc;
+    EXPECT_NE(ReadFile(Path("out.txt")).find(message), std::string::npos)
+        << misuse << ": " << ReadFile(Path("out.txt"));
   }
 }
 

@@ -117,6 +117,16 @@ TEST_F(ServeSmokeTest, MisuseFailsLoudly) {
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) + " --" "shards 8" +
                 " > /dev/null 2>&1"),
             2);
+  // One connection then exit is --max-connections 1; there is no
+  // --accept-once alias.
+  EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
+                " --accept-once --script " + Path("missing.jsonl") +
+                " > /dev/null 2> " +
+                Path("accept_once_err.txt")),
+            2);
+  EXPECT_NE(ReadFile(Path("accept_once_err.txt"))
+                .find("unknown flag '--accept-once'"),
+            std::string::npos);
   // Negative service limits are usage errors, not crashes.
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
                 " --max-resident -1 > /dev/null 2>&1"),

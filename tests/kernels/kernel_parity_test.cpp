@@ -90,12 +90,14 @@ void ExpectTablesAgree(const Input& in) {
       avx2->or_into(in.a.data(), in.b.data(), out_avx2.data(), num_blocks));
   EXPECT_EQ(out_scalar, out_avx2);
 
-  const double sum_scalar =
-      scalar.masked_sum(in.values.data(), in.a.data(), num_blocks);
-  const double sum_avx2 =
-      avx2->masked_sum(in.values.data(), in.a.data(), num_blocks);
+  // A materialized mask is summed as `a & a`.
+  const double sum_scalar = scalar.masked_sum_and(
+      in.values.data(), in.a.data(), in.a.data(), num_blocks);
+  const double sum_avx2 = avx2->masked_sum_and(
+      in.values.data(), in.a.data(), in.a.data(), num_blocks);
   EXPECT_EQ(Bits(sum_scalar), Bits(sum_avx2))
-      << "masked_sum diverged: " << sum_scalar << " vs " << sum_avx2;
+      << "masked_sum_and(a, a) diverged: " << sum_scalar << " vs "
+      << sum_avx2;
 
   const double sum_and_scalar = scalar.masked_sum_and(
       in.values.data(), in.a.data(), in.b.data(), num_blocks);
@@ -114,7 +116,8 @@ void ExpectTablesAgree(const Input& in) {
   EXPECT_EQ(Bits(moments_scalar.sum_squares), Bits(moments_avx2.sum_squares));
 
   // The lane contract makes the fused moments pass produce the exact same
-  // sum as the plain masked sum — ScoreChunk's fast path relies on it.
+  // sum as the plain masked sum — the optimal search's fused dy=1 pass and
+  // the beam's sum-only pass must score a candidate identically.
   EXPECT_EQ(Bits(moments_scalar.sum), Bits(sum_and_scalar));
   EXPECT_EQ(Bits(moments_avx2.sum), Bits(sum_and_avx2));
 }

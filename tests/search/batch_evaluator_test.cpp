@@ -171,18 +171,19 @@ TEST(BatchEvaluatorTest, EvaluationContextMatchesFreeFunctions) {
   const linalg::Vector mean =
       pattern::SubgroupMean(data.dataset.targets, cluster);
 
-  EXPECT_EQ(context.LocationIC(cluster, mean),
+  // A materialized extension is passed as `cluster & cluster`.
+  EXPECT_EQ(context.LocationICMasked(cluster, cluster, cluster.count(), mean),
             si::LocationIC(model.Value(), cluster, mean));
 
-  const si::LocationScore via_context =
-      context.ScoreLocation(cluster, mean, 1, dl);
+  const si::LocationScore via_context = context.ScoreLocationMasked(
+      cluster, cluster, cluster.count(), mean, 1, dl);
   const si::LocationScore via_free =
       si::ScoreLocation(model.Value(), cluster, mean, 1, dl);
   EXPECT_EQ(via_context.ic, via_free.ic);
   EXPECT_EQ(via_context.dl, via_free.dl);
   EXPECT_EQ(via_context.si, via_free.si);
 
-  // Masked path over a & b == materialized path over the intersection.
+  // A virtual intersection `full & cluster` scores the same as `cluster`.
   const pattern::Extension full(cluster.universe_size(), /*full=*/true);
   linalg::Vector masked_mean;
   context.MaskedSubgroupMeanInto(full, cluster, cluster.count(),

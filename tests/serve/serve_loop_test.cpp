@@ -243,6 +243,14 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   script += open_with(5, "\"splits\":0");
   script += open_with(6, "\"beam_width\":4294967297");
   script += open_with(7, "\"max_coverage_fraction\":2.5");
+  // Settings the miner cannot use: a zero description length (every SI
+  // infinite), a negative one (ranking flipped), a sparsity the spread
+  // step does not implement, and an empty result list.
+  script += open_with(8, "\"gamma\":0,\"eta\":0");
+  script += open_with(9, "\"gamma\":-1,\"eta\":0.5");
+  script += open_with(10, "\"spread_sparsity\":7");
+  script += open_with(11, "\"spread_sparsity\":-3");
+  script += open_with(12, "\"top_k\":0");
   script += std::string(kOpenLine) + "\n";
   script += "{\"id\":2,\"verb\":\"mine\",\"session\":\"s1\"}\n";
 
@@ -250,10 +258,10 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   std::istringstream in(script);
   std::ostringstream out;
   const ServeLoopStats stats = ServeStream(manager, in, out);
-  EXPECT_EQ(stats.requests, 9u);
-  EXPECT_EQ(stats.errors, 7u) << out.str();
+  EXPECT_EQ(stats.requests, 14u);
+  EXPECT_EQ(stats.errors, 12u) << out.str();
   const std::vector<std::string> lines = SplitString(out.str(), '\n');
-  ASSERT_GE(lines.size(), 9u) << out.str();
+  ASSERT_GE(lines.size(), 14u) << out.str();
   EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("beam_width must be >= 1"), std::string::npos);
   // The rejected `open` created no session.
@@ -264,9 +272,18 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   }
   EXPECT_NE(lines[5].find("out of int range"), std::string::npos)
       << lines[5];
-  EXPECT_NE(lines[6].find("InvalidArgument"), std::string::npos) << lines[6];
-  EXPECT_NE(lines[7].find("\"ok\":true"), std::string::npos) << lines[7];
-  EXPECT_NE(MinedLocation(lines[8]), "<error>") << lines[8];
+  for (size_t i = 6; i < 12; ++i) {
+    EXPECT_NE(lines[i].find("InvalidArgument"), std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[7].find("gamma + eta must be > 0"), std::string::npos);
+  EXPECT_NE(lines[8].find("gamma must be finite and >= 0"),
+            std::string::npos);
+  EXPECT_NE(lines[9].find("spread_sparsity must be 0 or 2"),
+            std::string::npos);
+  EXPECT_NE(lines[11].find("top_k must be >= 1"), std::string::npos);
+  EXPECT_NE(lines[12].find("\"ok\":true"), std::string::npos) << lines[12];
+  EXPECT_NE(MinedLocation(lines[13]), "<error>") << lines[13];
   EXPECT_EQ(manager.SessionNames(), std::vector<std::string>{"s1"});
 }
 

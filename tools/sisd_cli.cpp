@@ -509,8 +509,10 @@ Status RunOptimal(const Args& args) {
               dataset.name.c_str(), dataset.num_rows(),
               dataset.num_descriptions(), dataset.num_targets());
 
+  // Depth and splits below 1 would abort the search and the pool build.
   search::OptimalConfig config;
-  SISD_ASSIGN_OR_RETURN(depth, FlagInt(args, "--max-depth", config.max_depth));
+  SISD_ASSIGN_OR_RETURN(depth,
+                        FlagInt(args, "--max-depth", config.max_depth, 1));
   config.max_depth = depth;
   SISD_ASSIGN_OR_RETURN(min_cov,
                         FlagInt(args, "--min-coverage", config.min_coverage));
@@ -528,8 +530,9 @@ Status RunOptimal(const Args& args) {
   dl.gamma = gamma;
   SISD_ASSIGN_OR_RETURN(eta, FlagDouble(args, "--eta", dl.eta));
   dl.eta = eta;
+  SISD_RETURN_NOT_OK(si::ValidateDescriptionLengthParams(dl));
 
-  SISD_ASSIGN_OR_RETURN(splits, FlagInt(args, "--splits", 4));
+  SISD_ASSIGN_OR_RETURN(splits, FlagInt(args, "--splits", 4, 1));
   const search::ConditionPool pool = search::ConditionPool::Build(
       dataset.descriptions, splits, args.Find("--exclusions") != nullptr);
   SISD_ASSIGN_OR_RETURN(

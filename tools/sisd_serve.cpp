@@ -47,7 +47,7 @@ namespace {
 constexpr const char* kUsage = R"(sisd_serve — concurrent subgroup-discovery session server
 
 USAGE
-  sisd_serve [--script FILE] [--epoll PORT [--accept-once]] [options]
+  sisd_serve [--script FILE] [--epoll PORT] [options]
 
 TRANSPORT
   (default)          read requests from stdin, answer on stdout
@@ -57,7 +57,6 @@ TRANSPORT
                      pipelined requests, a fixed worker pool, bounded
                      per-session queues (overflow answers Unavailable),
                      graceful drain on SIGTERM
-  --accept-once      exit after the first connection closes (tests)
 
 EVENT-LOOP OPTIONS (--epoll)
   --workers N        dispatch workers executing requests (default 2);
@@ -117,7 +116,6 @@ struct ServeArgs {
   serve::ServeConfig config;
   std::optional<std::string> script;
   std::optional<int> epoll_port;
-  bool accept_once = false;
   size_t workers = 2;
   size_t queue_capacity = 64;
   size_t max_connections = 0;
@@ -141,10 +139,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
       continue;  // already handled by Main's pre-scan
-    }
-    if (flag == "--accept-once") {
-      args.accept_once = true;
-      continue;
     }
     if (i + 1 >= argc) {
       return Status::InvalidArgument("flag " + flag + " needs a value");
@@ -262,7 +256,7 @@ int Main(int argc, char** argv) {
     config.num_workers = args.workers;
     config.queue_capacity = args.queue_capacity;
     config.max_line_bytes = args.max_line_bytes;
-    config.max_connections = args.accept_once ? 1 : args.max_connections;
+    config.max_connections = args.max_connections;
     const Status status = serve::ServeEventLoop(manager, config, std::cerr,
                                                 &metrics, &g_shutdown);
     if (!status.ok()) {
