@@ -32,6 +32,7 @@ std::string ScoredSpreadPattern::Describe(const data::DataTable& table) const {
 Status ValidateMinerConfig(const MinerConfig& config) {
   SISD_RETURN_NOT_OK(search::ValidateSearchConfig(config.search));
   SISD_RETURN_NOT_OK(si::ValidateDescriptionLengthParams(config.dl));
+  SISD_RETURN_NOT_OK(si::ValidateListGainParams(config.list_gain));
   if (config.spread_sparsity != 0 && config.spread_sparsity != 2) {
     return Status::InvalidArgument(
         StrFormat("spread_sparsity must be 0 or 2 (got %d)",
@@ -397,32 +398,19 @@ std::string MiningSession::SaveToString(SnapshotForm form) const {
     // rebased sessions in ref form, so never-rebased snapshots (and all
     // inline ones) keep their exact historical bytes.
     if (!version_chain_.empty()) {
-      JsonValue chain = JsonValue::Array();
-      for (const SessionVersionLink& link : version_chain_) {
-        chain.Append(EncodeVersionLink(link));
-      }
-      out.Set("version_chain", std::move(chain));
+      out.Set("version_chain", EncodeVersionChain(version_chain_));
     }
   } else {
     out.Set("dataset", serialize::EncodeDataset(*dataset_));
   }
   out.Set("config", EncodeMinerConfig(config_));
   out.Set("assimilator", serialize::EncodeAssimilator(assimilator_));
-  JsonValue history = JsonValue::Array();
-  for (const IterationResult& iteration : history_) {
-    history.Append(EncodeIterationResult(iteration));
-  }
-  out.Set("history", std::move(history));
+  out.Set("history", EncodeHistory(history_));
   // Additive schema field: written only when list mining happened, so
   // sessions that never called MineList keep their exact historical bytes
-  // (same policy as `spread_error` above and `use_optimal_search` in the
-  // config codec).
+  // (same policy as `use_optimal_search` in the config codec).
   if (!list_history_.empty()) {
-    JsonValue list_history = JsonValue::Array();
-    for (const ListMineResult& entry : list_history_) {
-      list_history.Append(EncodeListMineResult(entry));
-    }
-    out.Set("list_history", std::move(list_history));
+    out.Set("list_history", EncodeListHistory(list_history_));
   }
   return out.Write();
 }
@@ -440,9 +428,9 @@ Result<MiningSession> MiningSession::RestoreFromString(
                                    format + "')");
   }
   SISD_ASSIGN_OR_RETURN(version, GetIntField(root, "schema_version"));
-  if (version != kSessionSchemaVersion) {
+  if (version < 1 || version > kSessionSchemaVersion) {
     return Status::InvalidArgument(
-        StrFormat("unsupported session schema version %lld (expected %lld)",
+        StrFormat("unsupported session schema version %lld (expected 1..%lld)",
                   static_cast<long long>(version),
                   static_cast<long long>(kSessionSchemaVersion)));
   }
@@ -495,18 +483,6 @@ Result<MiningSession> MiningSession::RestoreFromString(
     }
   }
 
-  std::vector<SessionVersionLink> version_chain;
-  if (const JsonValue* chain_json = root.Find("version_chain")) {
-    if (!chain_json->is_array()) {
-      return Status::InvalidArgument("version_chain must be an array");
-    }
-    version_chain.reserve(chain_json->size());
-    for (const JsonValue& entry : chain_json->items()) {
-      SISD_ASSIGN_OR_RETURN(link, DecodeVersionLink(entry));
-      version_chain.push_back(std::move(link));
-    }
-  }
-
   SISD_ASSIGN_OR_RETURN(assimilator_json, root.Get("assimilator"));
   SISD_ASSIGN_OR_RETURN(assimilator,
                         serialize::DecodeAssimilator(*assimilator_json));
@@ -538,17 +514,16 @@ Result<MiningSession> MiningSession::RestoreFromString(
   MiningSession session(std::move(shared_dataset), std::move(config),
                         std::move(pool), std::move(assimilator),
                         std::move(origin));
-  session.version_chain_ = std::move(version_chain);
+  if (const JsonValue* chain_json = root.Find("version_chain")) {
+    SISD_ASSIGN_OR_RETURN(chain, DecodeVersionChain(*chain_json));
+    session.version_chain_ = std::move(chain);
+  }
 
   SISD_ASSIGN_OR_RETURN(history_json, root.Get("history"));
-  if (!history_json->is_array()) {
-    return Status::InvalidArgument("session history must be an array");
-  }
-  session.history_.reserve(history_json->size());
-  for (const JsonValue& entry : history_json->items()) {
-    SISD_ASSIGN_OR_RETURN(iteration, DecodeIterationResult(entry));
-    session.history_.push_back(std::move(iteration));
-  }
+  SISD_ASSIGN_OR_RETURN(history,
+                        DecodeHistory(*history_json, version,
+                                      *session.dataset_, session.config_.dl));
+  session.history_ = std::move(history);
 
   // Additive field: the subgroup-list history. The current list is derived
   // state — rebuilt by replaying the saved rules in order (integer bitset
@@ -556,24 +531,15 @@ Result<MiningSession> MiningSession::RestoreFromString(
   // a deterministic function of the targets. The rebuilt list therefore
   // continues mining bit-identically to the saved one.
   if (const JsonValue* list_history_json = root.Find("list_history")) {
-    if (!list_history_json->is_array()) {
-      return Status::InvalidArgument("session list_history must be an array");
-    }
-    session.list_history_.reserve(list_history_json->size());
-    for (const JsonValue& entry : list_history_json->items()) {
-      SISD_ASSIGN_OR_RETURN(list_result, DecodeListMineResult(entry));
-      session.list_history_.push_back(std::move(list_result));
-    }
+    SISD_ASSIGN_OR_RETURN(list_history,
+                          DecodeListHistory(*list_history_json,
+                                            session.dataset_->descriptions));
+    session.list_history_ = std::move(list_history);
     if (!session.list_history_.empty()) {
       session.list_ = search::MakeEmptySubgroupList(
           session.dataset_->targets, session.config_.list_gain);
-      const size_t num_rows = session.dataset_->num_rows();
       for (const ListMineResult& entry : session.list_history_) {
         for (const search::SubgroupRule& rule : entry.rules) {
-          if (rule.extension.universe_size() != num_rows) {
-            return Status::InvalidArgument(
-                "list rule extension universe disagrees with the dataset");
-          }
           search::ReplaySubgroupRule(rule, &*session.list_);
         }
       }

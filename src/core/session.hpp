@@ -10,7 +10,8 @@
 /// next `MineNext()` produces byte-identical output to a session that never
 /// stopped: model parameters, cached factorizations (maintained by rank-one
 /// updates, so their bits are state, not derivable), constraints and history
-/// all round-trip exactly.
+/// all round-trip exactly. History facts are stored once; restore rebuilds
+/// what follows from them on the dataset (see core/session_io.hpp).
 
 #ifndef SISD_CORE_SESSION_HPP_
 #define SISD_CORE_SESSION_HPP_
@@ -73,9 +74,9 @@ struct MinerConfig {
 
 /// \brief Returns InvalidArgument unless `config` can drive a session:
 /// `search::ValidateSearchConfig`, `si::ValidateDescriptionLengthParams`,
-/// and `spread_sparsity` 0 or 2. Every path that builds a session from an
-/// outside config (a client's `open`, a loaded snapshot) checks it before
-/// building anything.
+/// `si::ValidateListGainParams`, and `spread_sparsity` 0 or 2. Every path
+/// that builds a session from an outside config (a client's `open`, a
+/// loaded snapshot) checks it before building anything.
 Status ValidateMinerConfig(const MinerConfig& config);
 
 /// \brief A fully scored location pattern.
@@ -151,9 +152,9 @@ struct RebaseOutcome {
 };
 
 /// \brief Snapshot schema version written by `Save`. Bumped only on
-/// incompatible layout changes; `Restore` rejects versions it does not
-/// know (see README "Session snapshots" for the policy).
-inline constexpr int64_t kSessionSchemaVersion = 1;
+/// incompatible layout changes; `Restore` reads versions 1 through this one
+/// and rejects any other (see README "Session snapshots" for the policy).
+inline constexpr int64_t kSessionSchemaVersion = 2;
 
 /// \brief The `format` tag identifying session snapshot files.
 inline constexpr const char* kSessionFormatTag = "sisd-session";

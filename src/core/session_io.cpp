@@ -1,9 +1,18 @@
 #include "core/session_io.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <map>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "common/strings.hpp"
 #include "serialize/snapshot.hpp"
 
 namespace sisd::core {
 
+using serialize::EncodeArray;
 using serialize::JsonValue;
 
 namespace {
@@ -26,12 +35,10 @@ JsonValue EncodeSearchConfig(const search::SearchConfig& config) {
 
 Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
   search::SearchConfig out;
-  SISD_ASSIGN_OR_RETURN(beam_width, GetInt32Field(json, "beam_width"));
-  out.beam_width = beam_width;
-  SISD_ASSIGN_OR_RETURN(max_depth, GetInt32Field(json, "max_depth"));
-  out.max_depth = max_depth;
-  SISD_ASSIGN_OR_RETURN(splits, GetInt32Field(json, "num_split_points"));
-  out.num_split_points = splits;
+  SISD_RETURN_NOT_OK(ReadField(json, "beam_width", &out.beam_width));
+  SISD_RETURN_NOT_OK(ReadField(json, "max_depth", &out.max_depth));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "num_split_points", &out.num_split_points));
   // Additive schema field. Snapshots written before the flag existed came
   // from builds whose pool unconditionally emitted != exclusions, so an
   // absent field must decode to `true` — otherwise a restored session
@@ -39,21 +46,17 @@ Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
   // breaking the byte-identical-resume guarantee. New snapshots always
   // carry the field (false by default: the paper's Cortana alphabet).
   out.include_exclusions = true;
-  if (const JsonValue* exclusions = json.Find("include_exclusions")) {
-    SISD_ASSIGN_OR_RETURN(v, exclusions->GetBool());
-    out.include_exclusions = v;
+  if (json.Find("include_exclusions") != nullptr) {
+    SISD_RETURN_NOT_OK(
+        ReadField(json, "include_exclusions", &out.include_exclusions));
   }
-  SISD_ASSIGN_OR_RETURN(top_k, GetSizeField(json, "top_k"));
-  out.top_k = top_k;
-  SISD_ASSIGN_OR_RETURN(min_coverage, GetSizeField(json, "min_coverage"));
-  out.min_coverage = min_coverage;
-  SISD_ASSIGN_OR_RETURN(max_fraction,
-                        GetDoubleField(json, "max_coverage_fraction"));
-  out.max_coverage_fraction = max_fraction;
-  SISD_ASSIGN_OR_RETURN(budget, GetDoubleField(json, "time_budget_seconds"));
-  out.time_budget_seconds = budget;
-  SISD_ASSIGN_OR_RETURN(threads, GetInt32Field(json, "num_threads"));
-  out.num_threads = threads;
+  SISD_RETURN_NOT_OK(ReadField(json, "top_k", &out.top_k));
+  SISD_RETURN_NOT_OK(ReadField(json, "min_coverage", &out.min_coverage));
+  SISD_RETURN_NOT_OK(ReadField(json, "max_coverage_fraction",
+                               &out.max_coverage_fraction));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "time_budget_seconds", &out.time_budget_seconds));
+  SISD_RETURN_NOT_OK(ReadField(json, "num_threads", &out.num_threads));
   return out;
 }
 
@@ -75,42 +78,16 @@ JsonValue EncodeOptimizerConfig(
 Result<optimize::SphereOptimizerConfig> DecodeOptimizerConfig(
     const JsonValue& json) {
   optimize::SphereOptimizerConfig out;
-  SISD_ASSIGN_OR_RETURN(max_iterations,
-                        GetInt32Field(json, "max_iterations"));
-  out.max_iterations = max_iterations;
-  SISD_ASSIGN_OR_RETURN(max_backtracks,
-                        GetInt32Field(json, "max_backtracks"));
-  out.max_backtracks = max_backtracks;
-  SISD_ASSIGN_OR_RETURN(tolerance,
-                        GetDoubleField(json, "gradient_tolerance"));
-  out.gradient_tolerance = tolerance;
-  SISD_ASSIGN_OR_RETURN(armijo, GetDoubleField(json, "armijo_c1"));
-  out.armijo_c1 = armijo;
-  SISD_ASSIGN_OR_RETURN(step, GetDoubleField(json, "initial_step"));
-  out.initial_step = step;
-  SISD_ASSIGN_OR_RETURN(starts, GetInt32Field(json, "num_random_starts"));
-  out.num_random_starts = starts;
+  SISD_RETURN_NOT_OK(ReadField(json, "max_iterations", &out.max_iterations));
+  SISD_RETURN_NOT_OK(ReadField(json, "max_backtracks", &out.max_backtracks));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "gradient_tolerance", &out.gradient_tolerance));
+  SISD_RETURN_NOT_OK(ReadField(json, "armijo_c1", &out.armijo_c1));
+  SISD_RETURN_NOT_OK(ReadField(json, "initial_step", &out.initial_step));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "num_random_starts", &out.num_random_starts));
   SISD_ASSIGN_OR_RETURN(seed, GetIntField(json, "seed"));
   out.seed = uint64_t(seed);
-  return out;
-}
-
-JsonValue EncodeLocationScore(const si::LocationScore& score) {
-  JsonValue out = JsonValue::Object();
-  out.Set("ic", JsonValue::Double(score.ic));
-  out.Set("dl", JsonValue::Double(score.dl));
-  out.Set("si", JsonValue::Double(score.si));
-  return out;
-}
-
-Result<si::LocationScore> DecodeLocationScore(const JsonValue& json) {
-  si::LocationScore out;
-  SISD_ASSIGN_OR_RETURN(ic, GetDoubleField(json, "ic"));
-  out.ic = ic;
-  SISD_ASSIGN_OR_RETURN(dl, GetDoubleField(json, "dl"));
-  out.dl = dl;
-  SISD_ASSIGN_OR_RETURN(si_value, GetDoubleField(json, "si"));
-  out.si = si_value;
   return out;
 }
 
@@ -132,45 +109,279 @@ JsonValue EncodeSpreadScore(const si::SpreadScore& score) {
 
 Result<si::SpreadScore> DecodeSpreadScore(const JsonValue& json) {
   si::SpreadScore out;
-  SISD_ASSIGN_OR_RETURN(ic, GetDoubleField(json, "ic"));
-  out.ic = ic;
-  SISD_ASSIGN_OR_RETURN(dl, GetDoubleField(json, "dl"));
-  out.dl = dl;
-  SISD_ASSIGN_OR_RETURN(si_value, GetDoubleField(json, "si"));
-  out.si = si_value;
+  SISD_RETURN_NOT_OK(ReadField(json, "ic", &out.ic));
+  SISD_RETURN_NOT_OK(ReadField(json, "dl", &out.dl));
+  SISD_RETURN_NOT_OK(ReadField(json, "si", &out.si));
   SISD_ASSIGN_OR_RETURN(approx, json.Get("approx"));
-  SISD_ASSIGN_OR_RETURN(alpha, GetDoubleField(*approx, "alpha"));
-  out.approx.alpha = alpha;
-  SISD_ASSIGN_OR_RETURN(beta, GetDoubleField(*approx, "beta"));
-  out.approx.beta = beta;
-  SISD_ASSIGN_OR_RETURN(m, GetDoubleField(*approx, "m"));
-  out.approx.m = m;
-  SISD_ASSIGN_OR_RETURN(a1, GetDoubleField(*approx, "a1"));
-  out.approx.a1 = a1;
-  SISD_ASSIGN_OR_RETURN(a2, GetDoubleField(*approx, "a2"));
-  out.approx.a2 = a2;
-  SISD_ASSIGN_OR_RETURN(a3, GetDoubleField(*approx, "a3"));
-  out.approx.a3 = a3;
+  SISD_RETURN_NOT_OK(ReadField(*approx, "alpha", &out.approx.alpha));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "beta", &out.approx.beta));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "m", &out.approx.m));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a1", &out.approx.a1));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a2", &out.approx.a2));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a3", &out.approx.a3));
   return out;
 }
 
-JsonValue EncodeSubgroup(const pattern::Subgroup& subgroup) {
+/// The one check every decoded intention passes before it touches the
+/// dataset, for history entries and list rules alike: each condition names
+/// a column of `table`, uses an op that suits the column's kind, and (for
+/// `=` / `!=`) a level inside the column's label table.
+Status ValidateIntention(const data::DataTable& table,
+                         const pattern::Intention& intention) {
+  for (const pattern::Condition& c : intention.conditions()) {
+    if (c.attribute >= table.num_columns()) {
+      return Status::InvalidArgument(
+          StrFormat("condition names attribute %zu, but the dataset has %zu "
+                    "description attributes",
+                    c.attribute, table.num_columns()));
+    }
+    const data::Column& column = table.column(c.attribute);
+    const bool interval = c.op == pattern::ConditionOp::kLessEqual ||
+                          c.op == pattern::ConditionOp::kGreaterEqual;
+    if (interval != data::IsOrderable(column.kind())) {
+      return Status::InvalidArgument(StrFormat(
+          "condition '%s' does not suit %s attribute '%s'",
+          pattern::ConditionOpToString(c.op),
+          data::AttributeKindToString(column.kind()), column.name().c_str()));
+    }
+    if (!interval &&
+        (c.level < 0 || static_cast<size_t>(c.level) >= column.NumLevels())) {
+      return Status::InvalidArgument(
+          StrFormat("condition level %d is outside attribute '%s' (%zu "
+                    "levels)",
+                    c.level, column.name().c_str(), column.NumLevels()));
+    }
+  }
+  return Status::OK();
+}
+
+Result<pattern::Intention> DecodeValidIntention(
+    const JsonValue& json, const data::DataTable& table) {
+  SISD_ASSIGN_OR_RETURN(intention, serialize::DecodeIntention(json));
+  SISD_RETURN_NOT_OK(ValidateIntention(table, intention));
+  return intention;
+}
+
+/// A ranked entry is `{intention, ic}`.
+JsonValue EncodeRankedEntry(const ScoredLocationPattern& entry) {
   JsonValue out = JsonValue::Object();
-  out.Set("intention", serialize::EncodeIntention(subgroup.intention));
-  out.Set("extension", serialize::EncodeExtension(subgroup.extension));
+  out.Set("intention",
+          serialize::EncodeIntention(entry.pattern.subgroup.intention));
+  out.Set("ic", JsonValue::Double(entry.score.ic));
   return out;
 }
 
-Result<pattern::Subgroup> DecodeSubgroup(const JsonValue& json) {
-  pattern::Subgroup out;
-  SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
-  SISD_ASSIGN_OR_RETURN(intention,
-                        serialize::DecodeIntention(*intention_json));
-  out.intention = std::move(intention);
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension,
-                        serialize::DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
+/// The spread pattern's subgroup is its location's, so only the direction,
+/// variance and score are stored.
+JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p) {
+  JsonValue out = JsonValue::Object();
+  out.Set("direction", serialize::EncodeVector(p.pattern.direction));
+  out.Set("variance", JsonValue::Double(p.pattern.variance));
+  out.Set("score", EncodeSpreadScore(p.score));
+  return out;
+}
+
+/// An iteration stores no `location`: it is always `ranked[0]` (`MineNext`
+/// and `AssimilateIntention` both set it so).
+JsonValue EncodeIterationResult(const IterationResult& iteration) {
+  JsonValue out = JsonValue::Object();
+  out.Set("spread", iteration.spread.has_value()
+                        ? EncodeScoredSpread(*iteration.spread)
+                        : JsonValue::Null());
+  // Written only when set: the spread step failed after the location
+  // constraint was assimilated.
+  if (!iteration.spread_error.empty()) {
+    out.Set("spread_error", JsonValue::Str(iteration.spread_error));
+  }
+  out.Set("ranked", EncodeArray(iteration.ranked, EncodeRankedEntry));
+  out.Set("candidates_evaluated",
+          JsonValue::Int(int64_t(iteration.candidates_evaluated)));
+  out.Set("hit_time_budget", JsonValue::Bool(iteration.hit_time_budget));
+  return out;
+}
+
+/// Decodes iterations and rebuilds what they do not store on the session's
+/// dataset: each ranked entry's extension from its intention, its mean from
+/// the targets (`LocationPattern::Compute`, as `MineNext` does), its DL and
+/// SI from its IC. Each distinct condition is evaluated once, keyed by
+/// value; an extension is the AND of its conditions' bitsets, the same bits
+/// `Intention::Evaluate` yields. Version-1 iterations also carry the derived
+/// copies (and `location`); they are ignored.
+class HistoryDecoder {
+ public:
+  HistoryDecoder(int64_t schema_version, const data::Dataset& dataset,
+                 const si::DescriptionLengthParams& dl)
+      : schema_version_(schema_version), dataset_(dataset), dl_(dl) {}
+
+  Result<IterationResult> DecodeIteration(const JsonValue& json) {
+    IterationResult out;
+    SISD_ASSIGN_OR_RETURN(ranked_json, json.Get("ranked"));
+    SISD_ASSIGN_OR_RETURN(
+        ranked, DecodeArray<ScoredLocationPattern>(
+                    *ranked_json, "ranked list",
+                    [this](const JsonValue& e) { return DecodeEntry(e); }));
+    if (ranked.empty()) {
+      return Status::InvalidArgument("ranked list must not be empty");
+    }
+    out.ranked = std::move(ranked);
+    out.location = out.ranked.front();
+    SISD_ASSIGN_OR_RETURN(spread_json, json.Get("spread"));
+    if (!spread_json->is_null()) {
+      ScoredSpreadPattern spread;
+      spread.pattern.subgroup = out.location.pattern.subgroup;
+      SISD_RETURN_NOT_OK(ReadMember(*spread_json, "direction",
+                                    &spread.pattern.direction,
+                                    serialize::DecodeVector));
+      SISD_RETURN_NOT_OK(
+          ReadField(*spread_json, "variance", &spread.pattern.variance));
+      SISD_RETURN_NOT_OK(ReadMember(*spread_json, "score", &spread.score,
+                                    DecodeSpreadScore));
+      out.spread = std::move(spread);
+    }
+    if (json.Find("spread_error") != nullptr) {
+      SISD_RETURN_NOT_OK(ReadField(json, "spread_error", &out.spread_error));
+    }
+    SISD_RETURN_NOT_OK(
+        ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+    SISD_RETURN_NOT_OK(
+        ReadField(json, "hit_time_budget", &out.hit_time_budget));
+    return out;
+  }
+
+ private:
+  /// Version 1 nests the intention in `subgroup` and the IC in `score`.
+  Result<ScoredLocationPattern> DecodeEntry(const JsonValue& json) {
+    const JsonValue* intention_holder = &json;
+    const JsonValue* ic_holder = &json;
+    if (schema_version_ == 1) {
+      SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
+      SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
+      intention_holder = subgroup_json;
+      ic_holder = score_json;
+    }
+    pattern::Subgroup subgroup;
+    SISD_RETURN_NOT_OK(ReadMember(*intention_holder, "intention",
+                                  &subgroup.intention, DecodeValidIntention,
+                                  dataset_.descriptions));
+    subgroup.extension = pattern::Extension(dataset_.num_rows(),
+                                            /*full=*/true);
+    for (const pattern::Condition& c : subgroup.intention.conditions()) {
+      const ConditionKey key{c.attribute, c.op,
+                             std::bit_cast<uint64_t>(c.threshold), c.level};
+      auto it = conditions_.find(key);
+      if (it == conditions_.end()) {
+        it = conditions_.emplace(key, c.Evaluate(dataset_.descriptions))
+                 .first;
+      }
+      subgroup.extension.IntersectWith(it->second);
+    }
+    if (subgroup.extension.empty()) {
+      return Status::InvalidArgument("history intention matches no rows");
+    }
+    double ic = 0.0;
+    SISD_RETURN_NOT_OK(ReadField(*ic_holder, "ic", &ic));
+    ScoredLocationPattern out;
+    out.pattern = pattern::LocationPattern::Compute(std::move(subgroup),
+                                                    dataset_.targets);
+    out.score = si::LocationScoreFromIC(
+        ic, out.pattern.subgroup.intention.size(), dl_);
+    return out;
+  }
+
+  using ConditionKey =
+      std::tuple<size_t, pattern::ConditionOp, uint64_t, int32_t>;
+
+  int64_t schema_version_;
+  const data::Dataset& dataset_;
+  const si::DescriptionLengthParams& dl_;
+  std::map<ConditionKey, pattern::Extension> conditions_;
+};
+
+JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule) {
+  JsonValue out = JsonValue::Object();
+  out.Set("intention", serialize::EncodeIntention(rule.intention));
+  out.Set("extension", serialize::EncodeExtension(rule.extension));
+  out.Set("captured", serialize::EncodeExtension(rule.captured));
+  out.Set("mean", serialize::EncodeVector(rule.local.mean));
+  out.Set("variance", serialize::EncodeVector(rule.local.variance));
+  out.Set("gain", JsonValue::Double(rule.gain));
+  return out;
+}
+
+Result<search::SubgroupRule> DecodeSubgroupRule(
+    const JsonValue& json, const data::DataTable& table) {
+  search::SubgroupRule out;
+  SISD_RETURN_NOT_OK(ReadMember(json, "intention", &out.intention,
+                                DecodeValidIntention, table));
+  SISD_RETURN_NOT_OK(ReadMember(json, "extension", &out.extension,
+                                serialize::DecodeExtension));
+  SISD_RETURN_NOT_OK(ReadMember(json, "captured", &out.captured,
+                                serialize::DecodeExtension));
+  if (out.extension.universe_size() != table.num_rows() ||
+      out.captured.universe_size() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "list rule extension universe disagrees with the dataset");
+  }
+  SISD_RETURN_NOT_OK(
+      ReadMember(json, "mean", &out.local.mean, serialize::DecodeVector));
+  SISD_RETURN_NOT_OK(ReadMember(json, "variance", &out.local.variance,
+                                serialize::DecodeVector));
+  if (out.local.variance.size() != out.local.mean.size()) {
+    return Status::InvalidArgument(
+        "rule mean/variance dimensions disagree");
+  }
+  SISD_RETURN_NOT_OK(ReadField(json, "gain", &out.gain));
+  return out;
+}
+
+JsonValue EncodeListMineResult(const ListMineResult& result) {
+  JsonValue out = JsonValue::Object();
+  out.Set("rules", EncodeArray(result.rules, EncodeSubgroupRule));
+  out.Set("total_gain", JsonValue::Double(result.total_gain));
+  out.Set("candidates_evaluated",
+          JsonValue::Int(int64_t(result.candidates_evaluated)));
+  out.Set("exhausted", JsonValue::Bool(result.exhausted));
+  out.Set("hit_time_budget", JsonValue::Bool(result.hit_time_budget));
+  return out;
+}
+
+Result<ListMineResult> DecodeListMineResult(const JsonValue& json,
+                                            const data::DataTable& table) {
+  ListMineResult out;
+  SISD_ASSIGN_OR_RETURN(rules_json, json.Get("rules"));
+  SISD_ASSIGN_OR_RETURN(
+      rules, DecodeArray<search::SubgroupRule>(
+                 *rules_json, "list rules", [&table](const JsonValue& e) {
+                   return DecodeSubgroupRule(e, table);
+                 }));
+  out.rules = std::move(rules);
+  SISD_RETURN_NOT_OK(ReadField(json, "total_gain", &out.total_gain));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+  SISD_RETURN_NOT_OK(ReadField(json, "exhausted", &out.exhausted));
+  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
+  return out;
+}
+
+JsonValue EncodeVersionLink(const SessionVersionLink& link) {
+  JsonValue out = JsonValue::Object();
+  out.Set("fingerprint",
+          JsonValue::Str(catalog::FingerprintToHex(link.fingerprint)));
+  out.Set("name", JsonValue::Str(link.name));
+  out.Set("rows", JsonValue::Int(static_cast<int64_t>(link.rows)));
+  return out;
+}
+
+Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument("version_chain entry must be an object");
+  }
+  SessionVersionLink out;
+  SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "fingerprint"));
+  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
+  out.fingerprint = fingerprint;
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
+  SISD_RETURN_NOT_OK(ReadField(json, "rows", &out.rows));
   return out;
 }
 
@@ -210,14 +421,11 @@ JsonValue EncodeMinerConfig(const MinerConfig& config) {
 
 Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   MinerConfig out;
-  SISD_ASSIGN_OR_RETURN(search_json, json.Get("search"));
-  SISD_ASSIGN_OR_RETURN(search_config, DecodeSearchConfig(*search_json));
-  out.search = search_config;
+  SISD_RETURN_NOT_OK(
+      ReadMember(json, "search", &out.search, DecodeSearchConfig));
   SISD_ASSIGN_OR_RETURN(dl_json, json.Get("dl"));
-  SISD_ASSIGN_OR_RETURN(gamma, GetDoubleField(*dl_json, "gamma"));
-  out.dl.gamma = gamma;
-  SISD_ASSIGN_OR_RETURN(eta, GetDoubleField(*dl_json, "eta"));
-  out.dl.eta = eta;
+  SISD_RETURN_NOT_OK(ReadField(*dl_json, "gamma", &out.dl.gamma));
+  SISD_RETURN_NOT_OK(ReadField(*dl_json, "eta", &out.dl.eta));
   SISD_ASSIGN_OR_RETURN(mix, GetStringField(json, "mix"));
   if (mix == "location_only") {
     out.mix = PatternMix::kLocationOnly;
@@ -226,11 +434,10 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   } else {
     return Status::InvalidArgument("unknown pattern mix '" + mix + "'");
   }
-  SISD_ASSIGN_OR_RETURN(sparsity, GetInt32Field(json, "spread_sparsity"));
-  out.spread_sparsity = sparsity;
-  SISD_ASSIGN_OR_RETURN(optimizer_json, json.Get("spread_optimizer"));
-  SISD_ASSIGN_OR_RETURN(optimizer, DecodeOptimizerConfig(*optimizer_json));
-  out.spread_optimizer = optimizer;
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "spread_sparsity", &out.spread_sparsity));
+  SISD_RETURN_NOT_OK(ReadMember(json, "spread_optimizer",
+                                &out.spread_optimizer, DecodeOptimizerConfig));
   SISD_ASSIGN_OR_RETURN(prior_mean_json, json.Get("prior_mean"));
   if (!prior_mean_json->is_null()) {
     SISD_ASSIGN_OR_RETURN(prior_mean,
@@ -243,28 +450,22 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
                           serialize::DecodeMatrix(*prior_cov_json));
     out.prior_covariance = std::move(prior_cov);
   }
-  SISD_ASSIGN_OR_RETURN(ridge, GetDoubleField(json, "prior_ridge"));
-  out.prior_ridge = ridge;
+  SISD_RETURN_NOT_OK(ReadField(json, "prior_ridge", &out.prior_ridge));
   // Additive field (optimal-search PR): absent in older snapshots, which
   // must keep restoring — default off, same as MinerConfig.
-  out.use_optimal_search = false;
-  if (const JsonValue* optimal = json.Find("use_optimal_search")) {
-    SISD_ASSIGN_OR_RETURN(v, optimal->GetBool());
-    out.use_optimal_search = v;
+  if (json.Find("use_optimal_search") != nullptr) {
+    SISD_RETURN_NOT_OK(
+        ReadField(json, "use_optimal_search", &out.use_optimal_search));
   }
   // Additive field (subgroup-list PR): absent in older snapshots, which
   // restore with the default gain knobs — matching MinerConfig.
   if (const JsonValue* list_gain = json.Find("list_gain")) {
-    SISD_ASSIGN_OR_RETURN(alpha, GetDoubleField(*list_gain, "alpha"));
-    out.list_gain.alpha = alpha;
-    SISD_ASSIGN_OR_RETURN(beta, GetDoubleField(*list_gain, "beta"));
-    out.list_gain.beta = beta;
-    SISD_ASSIGN_OR_RETURN(floor,
-                          GetDoubleField(*list_gain, "variance_floor"));
-    out.list_gain.variance_floor = floor;
-    SISD_ASSIGN_OR_RETURN(normalized,
-                          GetBoolField(*list_gain, "normalized"));
-    out.list_gain.normalized = normalized;
+    SISD_RETURN_NOT_OK(ReadField(*list_gain, "alpha", &out.list_gain.alpha));
+    SISD_RETURN_NOT_OK(ReadField(*list_gain, "beta", &out.list_gain.beta));
+    SISD_RETURN_NOT_OK(ReadField(*list_gain, "variance_floor",
+                                 &out.list_gain.variance_floor));
+    SISD_RETURN_NOT_OK(
+        ReadField(*list_gain, "normalized", &out.list_gain.normalized));
   }
   return out;
 }
@@ -285,217 +486,42 @@ Result<catalog::DatasetRef> DecodeDatasetRef(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "fingerprint"));
   SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
   out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
-  out.name = std::move(name);
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
   return out;
 }
 
-JsonValue EncodeVersionLink(const SessionVersionLink& link) {
-  JsonValue out = JsonValue::Object();
-  out.Set("fingerprint",
-          JsonValue::Str(catalog::FingerprintToHex(link.fingerprint)));
-  out.Set("name", JsonValue::Str(link.name));
-  out.Set("rows", JsonValue::Int(static_cast<int64_t>(link.rows)));
-  return out;
+JsonValue EncodeVersionChain(const std::vector<SessionVersionLink>& chain) {
+  return EncodeArray(chain, EncodeVersionLink);
 }
 
-Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("version_chain entry must be an object");
-  }
-  SessionVersionLink out;
-  SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "fingerprint"));
-  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
-  out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
-  out.name = std::move(name);
-  SISD_ASSIGN_OR_RETURN(rows, GetSizeField(json, "rows"));
-  out.rows = rows;
-  return out;
+Result<std::vector<SessionVersionLink>> DecodeVersionChain(
+    const JsonValue& json) {
+  return DecodeArray<SessionVersionLink>(json, "version_chain",
+                                         DecodeVersionLink);
 }
 
-JsonValue EncodeScoredLocation(const ScoredLocationPattern& p) {
-  JsonValue out = JsonValue::Object();
-  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
-  out.Set("mean", serialize::EncodeVector(p.pattern.mean));
-  out.Set("score", EncodeLocationScore(p.score));
-  return out;
+JsonValue EncodeHistory(const std::vector<IterationResult>& history) {
+  return EncodeArray(history, EncodeIterationResult);
 }
 
-Result<ScoredLocationPattern> DecodeScoredLocation(const JsonValue& json) {
-  ScoredLocationPattern out;
-  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup, DecodeSubgroup(*subgroup_json));
-  out.pattern.subgroup = std::move(subgroup);
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
-  out.pattern.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
-  SISD_ASSIGN_OR_RETURN(score, DecodeLocationScore(*score_json));
-  out.score = score;
-  return out;
+Result<std::vector<IterationResult>> DecodeHistory(
+    const JsonValue& json, int64_t schema_version,
+    const data::Dataset& dataset, const si::DescriptionLengthParams& dl) {
+  HistoryDecoder decoder(schema_version, dataset, dl);
+  return DecodeArray<IterationResult>(
+      json, "session history",
+      [&decoder](const JsonValue& e) { return decoder.DecodeIteration(e); });
 }
 
-JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p) {
-  JsonValue out = JsonValue::Object();
-  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
-  out.Set("direction", serialize::EncodeVector(p.pattern.direction));
-  out.Set("variance", JsonValue::Double(p.pattern.variance));
-  out.Set("score", EncodeSpreadScore(p.score));
-  return out;
+JsonValue EncodeListHistory(const std::vector<ListMineResult>& list_history) {
+  return EncodeArray(list_history, EncodeListMineResult);
 }
 
-Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json) {
-  ScoredSpreadPattern out;
-  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup, DecodeSubgroup(*subgroup_json));
-  out.pattern.subgroup = std::move(subgroup);
-  SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
-  SISD_ASSIGN_OR_RETURN(direction,
-                        serialize::DecodeVector(*direction_json));
-  out.pattern.direction = std::move(direction);
-  SISD_ASSIGN_OR_RETURN(variance, GetDoubleField(json, "variance"));
-  out.pattern.variance = variance;
-  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
-  SISD_ASSIGN_OR_RETURN(score, DecodeSpreadScore(*score_json));
-  out.score = score;
-  return out;
-}
-
-JsonValue EncodeIterationResult(const IterationResult& iteration) {
-  JsonValue out = JsonValue::Object();
-  out.Set("location", EncodeScoredLocation(iteration.location));
-  out.Set("spread", iteration.spread.has_value()
-                        ? EncodeScoredSpread(*iteration.spread)
-                        : JsonValue::Null());
-  // Written only when set: snapshots of sessions that never hit a spread
-  // failure keep their exact historical bytes.
-  if (!iteration.spread_error.empty()) {
-    out.Set("spread_error", JsonValue::Str(iteration.spread_error));
-  }
-  JsonValue ranked = JsonValue::Array();
-  for (const ScoredLocationPattern& entry : iteration.ranked) {
-    ranked.Append(EncodeScoredLocation(entry));
-  }
-  out.Set("ranked", std::move(ranked));
-  out.Set("candidates_evaluated",
-          JsonValue::Int(int64_t(iteration.candidates_evaluated)));
-  out.Set("hit_time_budget", JsonValue::Bool(iteration.hit_time_budget));
-  return out;
-}
-
-Result<IterationResult> DecodeIterationResult(const JsonValue& json) {
-  IterationResult out;
-  SISD_ASSIGN_OR_RETURN(location_json, json.Get("location"));
-  SISD_ASSIGN_OR_RETURN(location, DecodeScoredLocation(*location_json));
-  out.location = std::move(location);
-  SISD_ASSIGN_OR_RETURN(spread_json, json.Get("spread"));
-  if (!spread_json->is_null()) {
-    SISD_ASSIGN_OR_RETURN(spread, DecodeScoredSpread(*spread_json));
-    out.spread = std::move(spread);
-  }
-  if (const JsonValue* spread_error = json.Find("spread_error")) {
-    SISD_ASSIGN_OR_RETURN(text, spread_error->GetString());
-    out.spread_error = std::move(text);
-  }
-  SISD_ASSIGN_OR_RETURN(ranked_json, json.Get("ranked"));
-  if (!ranked_json->is_array()) {
-    return Status::InvalidArgument("ranked list must be an array");
-  }
-  out.ranked.reserve(ranked_json->size());
-  for (const JsonValue& entry : ranked_json->items()) {
-    SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry));
-    out.ranked.push_back(std::move(ranked_entry));
-  }
-  SISD_ASSIGN_OR_RETURN(evaluated,
-                        GetSizeField(json, "candidates_evaluated"));
-  out.candidates_evaluated = evaluated;
-  SISD_ASSIGN_OR_RETURN(hit_budget, GetBoolField(json, "hit_time_budget"));
-  out.hit_time_budget = hit_budget;
-  return out;
-}
-
-JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule) {
-  JsonValue out = JsonValue::Object();
-  out.Set("intention", serialize::EncodeIntention(rule.intention));
-  out.Set("extension", serialize::EncodeExtension(rule.extension));
-  out.Set("captured", serialize::EncodeExtension(rule.captured));
-  out.Set("mean", serialize::EncodeVector(rule.local.mean));
-  out.Set("variance", serialize::EncodeVector(rule.local.variance));
-  out.Set("gain", JsonValue::Double(rule.gain));
-  return out;
-}
-
-Result<search::SubgroupRule> DecodeSubgroupRule(const JsonValue& json) {
-  search::SubgroupRule out;
-  SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
-  SISD_ASSIGN_OR_RETURN(intention,
-                        serialize::DecodeIntention(*intention_json));
-  out.intention = std::move(intention);
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension,
-                        serialize::DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
-  SISD_ASSIGN_OR_RETURN(captured_json, json.Get("captured"));
-  SISD_ASSIGN_OR_RETURN(captured,
-                        serialize::DecodeExtension(*captured_json));
-  out.captured = std::move(captured);
-  if (out.captured.universe_size() != out.extension.universe_size()) {
-    return Status::InvalidArgument(
-        "rule captured/extension universe sizes disagree");
-  }
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
-  out.local.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(variance_json, json.Get("variance"));
-  SISD_ASSIGN_OR_RETURN(variance,
-                        serialize::DecodeVector(*variance_json));
-  out.local.variance = std::move(variance);
-  if (out.local.variance.size() != out.local.mean.size()) {
-    return Status::InvalidArgument(
-        "rule mean/variance dimensions disagree");
-  }
-  SISD_ASSIGN_OR_RETURN(gain, GetDoubleField(json, "gain"));
-  out.gain = gain;
-  return out;
-}
-
-JsonValue EncodeListMineResult(const ListMineResult& result) {
-  JsonValue out = JsonValue::Object();
-  JsonValue rules = JsonValue::Array();
-  for (const search::SubgroupRule& rule : result.rules) {
-    rules.Append(EncodeSubgroupRule(rule));
-  }
-  out.Set("rules", std::move(rules));
-  out.Set("total_gain", JsonValue::Double(result.total_gain));
-  out.Set("candidates_evaluated",
-          JsonValue::Int(int64_t(result.candidates_evaluated)));
-  out.Set("exhausted", JsonValue::Bool(result.exhausted));
-  out.Set("hit_time_budget", JsonValue::Bool(result.hit_time_budget));
-  return out;
-}
-
-Result<ListMineResult> DecodeListMineResult(const JsonValue& json) {
-  ListMineResult out;
-  SISD_ASSIGN_OR_RETURN(rules_json, json.Get("rules"));
-  if (!rules_json->is_array()) {
-    return Status::InvalidArgument("list rules must be an array");
-  }
-  out.rules.reserve(rules_json->size());
-  for (const JsonValue& entry : rules_json->items()) {
-    SISD_ASSIGN_OR_RETURN(rule, DecodeSubgroupRule(entry));
-    out.rules.push_back(std::move(rule));
-  }
-  SISD_ASSIGN_OR_RETURN(total_gain, GetDoubleField(json, "total_gain"));
-  out.total_gain = total_gain;
-  SISD_ASSIGN_OR_RETURN(evaluated,
-                        GetSizeField(json, "candidates_evaluated"));
-  out.candidates_evaluated = evaluated;
-  SISD_ASSIGN_OR_RETURN(exhausted, GetBoolField(json, "exhausted"));
-  out.exhausted = exhausted;
-  SISD_ASSIGN_OR_RETURN(hit_budget, GetBoolField(json, "hit_time_budget"));
-  out.hit_time_budget = hit_budget;
-  return out;
+Result<std::vector<ListMineResult>> DecodeListHistory(
+    const JsonValue& json, const data::DataTable& table) {
+  return DecodeArray<ListMineResult>(
+      json, "session list_history",
+      [&table](const JsonValue& e) { return DecodeListMineResult(e, table); });
 }
 
 }  // namespace sisd::core

@@ -1,14 +1,20 @@
 /// \file session_io.hpp
-/// \brief JSON codecs for the core session types (MinerConfig, scored
-/// patterns, iteration results) — the top of the snapshot schema stack.
-///
-/// Exposed separately from MiningSession so tools (sisd_cli export) and
-/// tests can encode/decode session pieces without a live session. Same
+/// \brief JSON codecs behind `MiningSession::SaveToString` and
+/// `RestoreFromString`: the top of the snapshot schema stack. Same
 /// contract as serialize/snapshot.hpp: strict bit-exact round trips,
 /// Result-based validation.
+///
+/// The history codecs write each fact once (schema version 2): a ranked
+/// entry is its intention and IC, an iteration's location is its first
+/// ranked entry, and a spread pattern shares the location's subgroup.
+/// Decoding reads versions 1 and 2, rebuilds the rest on the session's
+/// dataset, and rejects intentions its description table cannot evaluate.
 
 #ifndef SISD_CORE_SESSION_IO_HPP_
 #define SISD_CORE_SESSION_IO_HPP_
+
+#include <cstdint>
+#include <vector>
 
 #include "common/status.hpp"
 #include "core/session.hpp"
@@ -30,35 +36,31 @@ Result<catalog::DatasetRef> DecodeDatasetRef(
     const serialize::JsonValue& json);
 /// @}
 
-/// \name Version-chain link codec: one entry of the additive
-/// `version_chain` snapshot field of rebased sessions.
+/// \name Version-chain codec: the additive `version_chain` snapshot field
+/// of rebased sessions.
 /// @{
-serialize::JsonValue EncodeVersionLink(const SessionVersionLink& link);
-Result<SessionVersionLink> DecodeVersionLink(
+serialize::JsonValue EncodeVersionChain(
+    const std::vector<SessionVersionLink>& chain);
+Result<std::vector<SessionVersionLink>> DecodeVersionChain(
     const serialize::JsonValue& json);
 /// @}
 
-/// \name Scored pattern + iteration codecs.
+/// \name Iteration-history codec (the `history` snapshot field). Decoding
+/// rebuilds extensions, means, DLs and SIs on `dataset` with `dl`.
 /// @{
-serialize::JsonValue EncodeScoredLocation(const ScoredLocationPattern& p);
-Result<ScoredLocationPattern> DecodeScoredLocation(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p);
-Result<ScoredSpreadPattern> DecodeScoredSpread(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeIterationResult(const IterationResult& iteration);
-Result<IterationResult> DecodeIterationResult(
-    const serialize::JsonValue& json);
+serialize::JsonValue EncodeHistory(const std::vector<IterationResult>& history);
+Result<std::vector<IterationResult>> DecodeHistory(
+    const serialize::JsonValue& json, int64_t schema_version,
+    const data::Dataset& dataset, const si::DescriptionLengthParams& dl);
 /// @}
 
-/// \name Subgroup-list codecs (the `list_history` snapshot field).
+/// \name Subgroup-list history codec (the `list_history` snapshot field).
+/// Rules are stored in full; decoding checks them against `table`.
 /// @{
-serialize::JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule);
-Result<search::SubgroupRule> DecodeSubgroupRule(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeListMineResult(const ListMineResult& result);
-Result<ListMineResult> DecodeListMineResult(
-    const serialize::JsonValue& json);
+serialize::JsonValue EncodeListHistory(
+    const std::vector<ListMineResult>& list_history);
+Result<std::vector<ListMineResult>> DecodeListHistory(
+    const serialize::JsonValue& json, const data::DataTable& table);
 /// @}
 
 }  // namespace sisd::core

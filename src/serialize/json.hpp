@@ -19,6 +19,7 @@
 #define SISD_SERIALIZE_JSON_HPP_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -154,6 +155,64 @@ Result<int> GetInt32Field(const JsonValue& json, const char* key);
 Result<size_t> GetSizeField(const JsonValue& json, const char* key);
 Result<double> GetDoubleField(const JsonValue& json, const char* key);
 Result<std::string> GetStringField(const JsonValue& json, const char* key);
+/// @}
+
+/// \name Decoding helpers over the readers above.
+/// @{
+
+/// The member reader for a field of type bool, int, size_t, double or
+/// std::string (`uint64_t` is `size_t` here, so a 64-bit seed that must
+/// read as a signed bit pattern goes through `GetIntField` instead).
+inline auto FieldReader(bool*) { return GetBoolField; }
+inline auto FieldReader(int*) { return GetInt32Field; }
+inline auto FieldReader(size_t*) { return GetSizeField; }
+inline auto FieldReader(double*) { return GetDoubleField; }
+inline auto FieldReader(std::string*) { return GetStringField; }
+
+/// Reads member `key` of `json` into `*out` with the reader for its type.
+template <typename T>
+Status ReadField(const JsonValue& json, const char* key, T* out) {
+  SISD_ASSIGN_OR_RETURN(value, FieldReader(out)(json, key));
+  *out = std::move(value);
+  return Status::OK();
+}
+
+/// Decodes member `key` of `json` as `decode(member, args...)` into `*out`.
+template <typename T, typename Decode, typename... Args>
+Status ReadMember(const JsonValue& json, const char* key, T* out,
+                  Decode decode, const Args&... args) {
+  SISD_ASSIGN_OR_RETURN(member, json.Get(key));
+  SISD_ASSIGN_OR_RETURN(value, decode(*member, args...));
+  *out = std::move(value);
+  return Status::OK();
+}
+
+/// A JSON array of `encode(item)` for each of `items`.
+template <typename Items, typename Encode>
+JsonValue EncodeArray(const Items& items, Encode encode) {
+  JsonValue out = JsonValue::Array();
+  for (const auto& item : items) out.Append(encode(item));
+  return out;
+}
+
+/// Decodes each element of the array `json` with `decode` (a function of
+/// the element, or a `JsonValue` accessor such as `&JsonValue::GetString`);
+/// `what` names the array in the error for a non-array.
+template <typename T, typename Decode>
+Result<std::vector<T>> DecodeArray(const JsonValue& json, const char* what,
+                                   Decode decode) {
+  if (!json.is_array()) {
+    return Status::InvalidArgument(std::string(what) + " must be an array");
+  }
+  std::vector<T> out;
+  out.reserve(json.size());
+  for (const JsonValue& entry : json.items()) {
+    SISD_ASSIGN_OR_RETURN(item, std::invoke(decode, entry));
+    out.push_back(std::move(item));
+  }
+  return out;
+}
+
 /// @}
 
 /// \brief Formats one double exactly as the writer does (exposed for tests:

@@ -161,36 +161,22 @@ JsonValue EncodeCondition(const pattern::Condition& condition) {
 
 Result<pattern::Condition> DecodeCondition(const JsonValue& json) {
   pattern::Condition out;
-  SISD_ASSIGN_OR_RETURN(attribute, GetSizeField(json, "attribute"));
-  out.attribute = attribute;
+  SISD_RETURN_NOT_OK(ReadField(json, "attribute", &out.attribute));
   SISD_ASSIGN_OR_RETURN(op_name, GetStringField(json, "op"));
   SISD_ASSIGN_OR_RETURN(op, ConditionOpFromName(op_name));
   out.op = op;
-  SISD_ASSIGN_OR_RETURN(threshold, GetDoubleField(json, "threshold"));
-  out.threshold = threshold;
-  SISD_ASSIGN_OR_RETURN(level, GetIntField(json, "level"));
-  out.level = int32_t(level);
+  SISD_RETURN_NOT_OK(ReadField(json, "threshold", &out.threshold));
+  SISD_RETURN_NOT_OK(ReadField(json, "level", &out.level));
   return out;
 }
 
 JsonValue EncodeIntention(const pattern::Intention& intention) {
-  JsonValue out = JsonValue::Array();
-  for (const pattern::Condition& c : intention.conditions()) {
-    out.Append(EncodeCondition(c));
-  }
-  return out;
+  return EncodeArray(intention.conditions(), EncodeCondition);
 }
 
 Result<pattern::Intention> DecodeIntention(const JsonValue& json) {
-  if (!json.is_array()) {
-    return Status::InvalidArgument("intention must be a JSON array");
-  }
-  std::vector<pattern::Condition> conditions;
-  conditions.reserve(json.size());
-  for (const JsonValue& entry : json.items()) {
-    SISD_ASSIGN_OR_RETURN(condition, DecodeCondition(entry));
-    conditions.push_back(condition);
-  }
+  SISD_ASSIGN_OR_RETURN(conditions, DecodeArray<pattern::Condition>(
+                                        json, "intention", DecodeCondition));
   return pattern::Intention(std::move(conditions));
 }
 
@@ -212,20 +198,10 @@ JsonValue EncodeColumn(const data::Column& column) {
       break;
   }
   if (data::IsOrderable(column.kind())) {
-    JsonValue values = JsonValue::Array();
-    for (double v : column.numeric_values()) {
-      values.Append(JsonValue::Double(v));
-    }
-    out.Set("values", std::move(values));
+    out.Set("values", EncodeArray(column.numeric_values(), JsonValue::Double));
   } else {
-    JsonValue codes = JsonValue::Array();
-    for (int32_t code : column.codes()) codes.Append(JsonValue::Int(code));
-    out.Set("codes", std::move(codes));
-    JsonValue labels = JsonValue::Array();
-    for (const std::string& label : column.labels()) {
-      labels.Append(JsonValue::Str(label));
-    }
-    out.Set("labels", std::move(labels));
+    out.Set("codes", EncodeArray(column.codes(), JsonValue::Int));
+    out.Set("labels", EncodeArray(column.labels(), JsonValue::Str));
   }
   return out;
 }
@@ -245,25 +221,12 @@ Result<data::Column> DecodeColumn(const JsonValue& json) {
     return Status::InvalidArgument("unknown column kind '" + kind + "'");
   }
   SISD_ASSIGN_OR_RETURN(codes_json, json.Get("codes"));
-  if (!codes_json->is_array()) {
-    return Status::InvalidArgument("column codes must be an array");
-  }
-  std::vector<int32_t> codes;
-  codes.reserve(codes_json->size());
-  for (const JsonValue& entry : codes_json->items()) {
-    SISD_ASSIGN_OR_RETURN(code, entry.GetInt());
-    codes.push_back(int32_t(code));
-  }
+  SISD_ASSIGN_OR_RETURN(codes, DecodeArray<int32_t>(*codes_json, "column codes",
+                                                    &JsonValue::GetInt32));
   SISD_ASSIGN_OR_RETURN(labels_json, json.Get("labels"));
-  if (!labels_json->is_array()) {
-    return Status::InvalidArgument("column labels must be an array");
-  }
-  std::vector<std::string> labels;
-  labels.reserve(labels_json->size());
-  for (const JsonValue& entry : labels_json->items()) {
-    SISD_ASSIGN_OR_RETURN(label, entry.GetString());
-    labels.push_back(std::move(label));
-  }
+  SISD_ASSIGN_OR_RETURN(labels,
+                        DecodeArray<std::string>(*labels_json, "column labels",
+                                                 &JsonValue::GetString));
   for (int32_t code : codes) {
     if (code < 0 || size_t(code) >= labels.size()) {
       return Status::InvalidArgument(
@@ -312,11 +275,7 @@ Result<data::DataTable> DecodeDataTable(const JsonValue& json) {
 JsonValue EncodeDataset(const data::Dataset& dataset) {
   JsonValue out = JsonValue::Object();
   out.Set("name", JsonValue::Str(dataset.name));
-  JsonValue target_names = JsonValue::Array();
-  for (const std::string& name : dataset.target_names) {
-    target_names.Append(JsonValue::Str(name));
-  }
-  out.Set("target_names", std::move(target_names));
+  out.Set("target_names", EncodeArray(dataset.target_names, JsonValue::Str));
   out.Set("targets", EncodeMatrix(dataset.targets));
   out.Set("descriptions", EncodeDataTable(dataset.descriptions));
   return out;
@@ -324,22 +283,15 @@ JsonValue EncodeDataset(const data::Dataset& dataset) {
 
 Result<data::Dataset> DecodeDataset(const JsonValue& json) {
   data::Dataset out;
-  SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
-  out.name = std::move(name);
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
   SISD_ASSIGN_OR_RETURN(target_names, json.Get("target_names"));
-  if (!target_names->is_array()) {
-    return Status::InvalidArgument("target_names must be an array");
-  }
-  for (const JsonValue& entry : target_names->items()) {
-    SISD_ASSIGN_OR_RETURN(target_name, entry.GetString());
-    out.target_names.push_back(std::move(target_name));
-  }
-  SISD_ASSIGN_OR_RETURN(targets_json, json.Get("targets"));
-  SISD_ASSIGN_OR_RETURN(targets, DecodeMatrix(*targets_json));
-  out.targets = std::move(targets);
-  SISD_ASSIGN_OR_RETURN(descriptions_json, json.Get("descriptions"));
-  SISD_ASSIGN_OR_RETURN(descriptions, DecodeDataTable(*descriptions_json));
-  out.descriptions = std::move(descriptions);
+  SISD_ASSIGN_OR_RETURN(names,
+                        DecodeArray<std::string>(*target_names, "target_names",
+                                                 &JsonValue::GetString));
+  out.target_names = std::move(names);
+  SISD_RETURN_NOT_OK(ReadMember(json, "targets", &out.targets, DecodeMatrix));
+  SISD_RETURN_NOT_OK(ReadMember(json, "descriptions", &out.descriptions,
+                                DecodeDataTable));
   SISD_RETURN_NOT_OK(out.Validate());
   return out;
 }
@@ -378,15 +330,9 @@ Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json) {
   factors.reserve(groups_json->size());
   for (const JsonValue& entry : groups_json->items()) {
     model::ParameterGroup group;
-    SISD_ASSIGN_OR_RETURN(mu_json, entry.Get("mu"));
-    SISD_ASSIGN_OR_RETURN(mu, DecodeVector(*mu_json));
-    group.mu = std::move(mu);
-    SISD_ASSIGN_OR_RETURN(sigma_json, entry.Get("sigma"));
-    SISD_ASSIGN_OR_RETURN(sigma, DecodeMatrix(*sigma_json));
-    group.sigma = std::move(sigma);
-    SISD_ASSIGN_OR_RETURN(rows_json, entry.Get("rows"));
-    SISD_ASSIGN_OR_RETURN(rows, DecodeExtension(*rows_json));
-    group.rows = std::move(rows);
+    SISD_RETURN_NOT_OK(ReadMember(entry, "mu", &group.mu, DecodeVector));
+    SISD_RETURN_NOT_OK(ReadMember(entry, "sigma", &group.sigma, DecodeMatrix));
+    SISD_RETURN_NOT_OK(ReadMember(entry, "rows", &group.rows, DecodeExtension));
     SISD_ASSIGN_OR_RETURN(factor_json, entry.Get("factor"));
     if (factor_json->is_null()) {
       factors.push_back(nullptr);
@@ -426,19 +372,15 @@ Result<model::AssimilatedConstraint> DecodeConstraint(const JsonValue& json) {
   } else {
     return Status::InvalidArgument("unknown constraint kind '" + kind + "'");
   }
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension, DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, DecodeVector(*mean_json));
-  out.mean = std::move(mean);
+  SISD_RETURN_NOT_OK(
+      ReadMember(json, "extension", &out.extension, DecodeExtension));
+  SISD_RETURN_NOT_OK(ReadMember(json, "mean", &out.mean, DecodeVector));
   SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
   if (!direction_json->is_null()) {
     SISD_ASSIGN_OR_RETURN(direction, DecodeVector(*direction_json));
     out.direction = std::move(direction);
   }
-  SISD_ASSIGN_OR_RETURN(variance, GetDoubleField(json, "variance"));
-  out.variance = variance;
+  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.variance));
   return out;
 }
 
@@ -447,11 +389,8 @@ JsonValue EncodeAssimilator(const model::PatternAssimilator& assimilator) {
   out.Set("initial_model",
           EncodeBackgroundModel(assimilator.initial_model()));
   out.Set("model", EncodeBackgroundModel(assimilator.model()));
-  JsonValue constraints = JsonValue::Array();
-  for (const model::AssimilatedConstraint& c : assimilator.constraints()) {
-    constraints.Append(EncodeConstraint(c));
-  }
-  out.Set("constraints", std::move(constraints));
+  out.Set("constraints",
+          EncodeArray(assimilator.constraints(), EncodeConstraint));
   return out;
 }
 
@@ -461,15 +400,10 @@ Result<model::PatternAssimilator> DecodeAssimilator(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(model_json, json.Get("model"));
   SISD_ASSIGN_OR_RETURN(current_model, DecodeBackgroundModel(*model_json));
   SISD_ASSIGN_OR_RETURN(constraints_json, json.Get("constraints"));
-  if (!constraints_json->is_array()) {
-    return Status::InvalidArgument("constraints must be an array");
-  }
-  std::vector<model::AssimilatedConstraint> constraints;
-  constraints.reserve(constraints_json->size());
-  for (const JsonValue& entry : constraints_json->items()) {
-    SISD_ASSIGN_OR_RETURN(constraint, DecodeConstraint(entry));
-    constraints.push_back(std::move(constraint));
-  }
+  SISD_ASSIGN_OR_RETURN(constraints,
+                        DecodeArray<model::AssimilatedConstraint>(
+                            *constraints_json, "constraints",
+                            DecodeConstraint));
   return model::PatternAssimilator::Restore(std::move(initial_model),
                                             std::move(current_model),
                                             std::move(constraints));

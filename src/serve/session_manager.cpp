@@ -152,7 +152,8 @@ Status SessionManager::EnsureResident(SessionEntry* entry) {
   // The live session owns the state again: drop the spill (including the
   // on-disk file — it is stale the moment the session mutates, and
   // leaving it would leak one snapshot per evict/restore/close cycle).
-  entry->spill_text.clear();
+  // A swap, unlike `clear()`, also frees the buffer.
+  std::string().swap(entry->spill_text);
   if (!entry->spill_path.empty()) {
     std::remove(entry->spill_path.c_str());
     entry->spill_path.clear();
@@ -179,6 +180,7 @@ Status SessionManager::EvictEntryLocked(SessionEntry* entry) {
     entry->spill_path = path;
     entry->spill_text.clear();
   } else {
+    text.shrink_to_fit();  // drop the writer's growth slack
     entry->spill_text = std::move(text);
     entry->spill_path.clear();
   }

@@ -41,11 +41,8 @@ LocationScore EvaluationContext::ScoreLocationMasked(
     const pattern::Extension& a, const pattern::Extension& b, size_t count,
     const linalg::Vector& empirical_mean, size_t num_conditions,
     const DescriptionLengthParams& params) {
-  LocationScore score;
-  score.ic = LocationICMasked(a, b, count, empirical_mean);
-  score.dl = LocationDescriptionLength(num_conditions, params);
-  score.si = score.ic / score.dl;
-  return score;
+  return LocationScoreFromIC(LocationICMasked(a, b, count, empirical_mean),
+                             num_conditions, params);
 }
 
 void EvaluationContext::MaskedSubgroupMeanInto(const pattern::Extension& a,

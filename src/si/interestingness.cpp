@@ -42,6 +42,12 @@ double SpreadDescriptionLength(size_t num_conditions,
   return params.gamma * double(num_conditions) + params.eta + 1.0;
 }
 
+LocationScore LocationScoreFromIC(double ic, size_t num_conditions,
+                                  const DescriptionLengthParams& params) {
+  const double dl = LocationDescriptionLength(num_conditions, params);
+  return {ic, dl, ic / dl};
+}
+
 double LocationIC(const model::BackgroundModel& model,
                   const pattern::Extension& extension,
                   const linalg::Vector& empirical_mean) {

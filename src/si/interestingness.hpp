@@ -56,6 +56,12 @@ struct SpreadScore {
   stats::Chi2MixtureApprox approx;  ///< the fitted surrogate (diagnostics)
 };
 
+/// \brief Completes a location score from its IC: `dl` from the intention
+/// size (Remark 1) and `si = ic / dl` (Eq. 14). The one place the location
+/// SI formula lives; scoring and snapshot restore both go through it.
+LocationScore LocationScoreFromIC(double ic, size_t num_conditions,
+                                  const DescriptionLengthParams& params);
+
 /// \brief IC of a location pattern: negative log density of the observed
 /// subgroup mean under the model's marginal for the mean statistic.
 ///

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/status.hpp"
+#include "common/strings.hpp"
 
 namespace sisd::si {
 
@@ -24,6 +24,18 @@ double FlooredVariance(const kernels::MaskedMoments& moments, double mean,
 }
 
 }  // namespace
+
+Status ValidateListGainParams(const ListGainParams& params) {
+  const auto is_cost = [](double v) { return std::isfinite(v) && v >= 0.0; };
+  if (!is_cost(params.alpha) || !is_cost(params.beta) ||
+      !(std::isfinite(params.variance_floor) && params.variance_floor > 0.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "list_alpha and list_beta must be finite and >= 0, variance_floor "
+        "finite and > 0 (got %g, %g, %g)",
+        params.alpha, params.beta, params.variance_floor));
+  }
+  return Status::OK();
+}
 
 void FitLocalNormalModel(const kernels::MaskedMoments* moments, size_t dy,
                          double variance_floor, LocalNormalModel* out) {

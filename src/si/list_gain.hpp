@@ -23,6 +23,7 @@
 
 #include <cstddef>
 
+#include "common/status.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/vector.hpp"
 
@@ -54,6 +55,12 @@ struct ListGainParams {
   /// rules). The sign of the gain is unaffected.
   bool normalized = true;
 };
+
+/// \brief Returns InvalidArgument unless `params` keep every rule's model
+/// cost non-negative and every fitted variance positive: `alpha` and `beta`
+/// finite and >= 0, `variance_floor` finite and > 0. A negative cost lets a
+/// rule claim compression it never earned.
+Status ValidateListGainParams(const ListGainParams& params);
 
 /// \brief Fits `out` from per-dimension moments of one row set: ML mean and
 /// floored ML variance per dimension. `moments[j].count` must be equal for

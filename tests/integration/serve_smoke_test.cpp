@@ -127,6 +127,15 @@ TEST_F(ServeSmokeTest, MisuseFailsLoudly) {
   EXPECT_NE(ReadFile(Path("accept_once_err.txt"))
                 .find("unknown flag '--accept-once'"),
             std::string::npos);
+  // An unknown flag given last is named as unknown, not as a flag that
+  // lacks its value.
+  EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
+                " --epoll 0 --frobnicate > /dev/null 2> " +
+                Path("last_flag_err.txt")),
+            2);
+  EXPECT_NE(ReadFile(Path("last_flag_err.txt"))
+                .find("unknown flag '--frobnicate'"),
+            std::string::npos);
   // Negative service limits are usage errors, not crashes.
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
                 " --max-resident -1 > /dev/null 2>&1"),

@@ -152,6 +152,12 @@ TEST(SnapshotCodecTest, ColumnRoundTripAllKinds) {
       "\"labels\":[\"a\"]}");
   ASSERT_TRUE(oob.ok());
   EXPECT_FALSE(DecodeColumn(oob.Value()).ok());
+  // A code beyond the int range is rejected, not wrapped into the table.
+  Result<JsonValue> wide = JsonValue::Parse(
+      "{\"name\":\"c\",\"kind\":\"categorical\",\"codes\":[4294967296],"
+      "\"labels\":[\"a\"]}");
+  ASSERT_TRUE(wide.ok());
+  EXPECT_FALSE(DecodeColumn(wide.Value()).ok());
 }
 
 data::Dataset SmallDataset() {

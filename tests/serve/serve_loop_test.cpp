@@ -251,6 +251,9 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   script += open_with(10, "\"spread_sparsity\":7");
   script += open_with(11, "\"spread_sparsity\":-3");
   script += open_with(12, "\"top_k\":0");
+  // List-gain costs that would let a rule claim unearned compression.
+  script += open_with(13, "\"list_beta\":-1e9");
+  script += open_with(14, "\"list_alpha\":-5");
   script += std::string(kOpenLine) + "\n";
   script += "{\"id\":2,\"verb\":\"mine\",\"session\":\"s1\"}\n";
 
@@ -258,10 +261,10 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   std::istringstream in(script);
   std::ostringstream out;
   const ServeLoopStats stats = ServeStream(manager, in, out);
-  EXPECT_EQ(stats.requests, 14u);
-  EXPECT_EQ(stats.errors, 12u) << out.str();
+  EXPECT_EQ(stats.requests, 16u);
+  EXPECT_EQ(stats.errors, 14u) << out.str();
   const std::vector<std::string> lines = SplitString(out.str(), '\n');
-  ASSERT_GE(lines.size(), 14u) << out.str();
+  ASSERT_GE(lines.size(), 16u) << out.str();
   EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("beam_width must be >= 1"), std::string::npos);
   // The rejected `open` created no session.
@@ -272,7 +275,7 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   }
   EXPECT_NE(lines[5].find("out of int range"), std::string::npos)
       << lines[5];
-  for (size_t i = 6; i < 12; ++i) {
+  for (size_t i = 6; i < 14; ++i) {
     EXPECT_NE(lines[i].find("InvalidArgument"), std::string::npos)
         << lines[i];
   }
@@ -282,8 +285,13 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   EXPECT_NE(lines[9].find("spread_sparsity must be 0 or 2"),
             std::string::npos);
   EXPECT_NE(lines[11].find("top_k must be >= 1"), std::string::npos);
-  EXPECT_NE(lines[12].find("\"ok\":true"), std::string::npos) << lines[12];
-  EXPECT_NE(MinedLocation(lines[13]), "<error>") << lines[13];
+  for (size_t i = 12; i < 14; ++i) {
+    EXPECT_NE(lines[i].find("list_alpha and list_beta must be finite and >= 0"),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[14].find("\"ok\":true"), std::string::npos) << lines[14];
+  EXPECT_NE(MinedLocation(lines[15]), "<error>") << lines[15];
   EXPECT_EQ(manager.SessionNames(), std::vector<std::string>{"s1"});
 }
 

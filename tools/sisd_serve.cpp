@@ -21,6 +21,7 @@
 #include <csignal>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +30,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/fingerprint.hpp"
@@ -133,12 +135,22 @@ Result<long long> ParseIntFlag(const std::string& flag,
   return *parsed;
 }
 
+// Every flag takes a value. Recognising the flag before taking its value
+// names an unknown last flag as unknown.
+constexpr std::array<std::string_view, 11> kValueFlags = {
+    "--script", "--epoll", "--workers", "--queue-capacity", "--max-connections",
+    "--max-line-bytes", "--max-resident", "--spill-dir", "--threads",
+    "--catalog-bytes", "--preload"};
+
 Result<ServeArgs> ParseArgs(int argc, char** argv) {
   ServeArgs args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--help" || flag == "-h") {
       continue;  // already handled by Main's pre-scan
+    }
+    if (std::ranges::find(kValueFlags, flag) == kValueFlags.end()) {
+      return Status::InvalidArgument("unknown flag '" + flag + "'");
     }
     if (i + 1 >= argc) {
       return Status::InvalidArgument("flag " + flag + " needs a value");
@@ -201,8 +213,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       args.config.catalog_max_bytes = size_t(n);
     } else if (flag == "--preload") {
       args.preloads.push_back(value);
-    } else {
-      return Status::InvalidArgument("unknown flag '" + flag + "'");
     }
   }
   return args;
