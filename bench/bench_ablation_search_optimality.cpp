@@ -12,10 +12,10 @@
 #include <chrono>
 #include <cstdio>
 
-#include "baseline/quality_measures.hpp"
 #include "datagen/crime.hpp"
 #include "pattern/patterns.hpp"
-#include "search/exhaustive_search.hpp"
+#include "reference/exhaustive_search.hpp"
+#include "reference/quality_measures.hpp"
 #include "search/optimal_search.hpp"
 
 int main() {
@@ -31,15 +31,8 @@ int main() {
   const search::ConditionPool pool =
       search::ConditionPool::Build(data.dataset.descriptions, 4);
   const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(model.Value(), data.dataset.targets, dl);
 
   std::printf("%-24s %12s %14s %12s %10s\n", "method", "best SI",
               "evaluated", "pruned", "seconds");
@@ -49,7 +42,7 @@ int main() {
     config.max_depth = 2;
     config.min_coverage = 20;
     const Clock::time_point a = Clock::now();
-    const search::SearchResult beam = search::BeamSearch(
+    const search::SearchResult beam = reference::CallbackBeamSearch(
         data.dataset.descriptions, pool, config, quality);
     const double secs =
         std::chrono::duration<double>(Clock::now() - a).count();
@@ -57,13 +50,13 @@ int main() {
                 beam.best().quality, beam.num_evaluated, "-", secs);
   }
 
-  search::ExhaustiveConfig config;
+  reference::ExhaustiveConfig config;
   config.max_depth = 2;
   config.min_coverage = 20;
   double exhaustive_best = 0.0;
   {  // Plain exhaustive.
     const Clock::time_point a = Clock::now();
-    const search::ExhaustiveResult plain = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult plain = reference::ExhaustiveSearch(
         data.dataset.descriptions, pool, config, quality);
     const double secs =
         std::chrono::duration<double>(Clock::now() - a).count();
@@ -73,11 +66,12 @@ int main() {
                 plain.num_pruned_nodes, secs);
   }
   {  // Branch-and-bound with the tight univariate bound.
-    Result<search::OptimisticBound> bound = search::MakeUnivariateSiBound(
-        model.Value(), data.dataset.targets, dl, config.min_coverage);
+    Result<reference::OptimisticBound> bound =
+        reference::MakeUnivariateSiBound(model.Value(), data.dataset.targets,
+                                         dl, config.min_coverage);
     bound.status().CheckOK();
     const Clock::time_point a = Clock::now();
-    const search::ExhaustiveResult bnb = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult bnb = reference::ExhaustiveSearch(
         data.dataset.descriptions, pool, config, quality, &bound.Value());
     const double secs =
         std::chrono::duration<double>(Clock::now() - a).count();
@@ -112,17 +106,17 @@ int main() {
   std::printf("\n=== Dispersion-corrected family (exhaustive, depth 2) ===\n");
   std::printf("%-24s %12s %12s %10s %12s\n", "variant", "best q", "SI",
               "coverage", "evaluated");
-  const baseline::TargetSummary summary =
-      baseline::TargetSummary::Compute(data.dataset.targets, 0);
+  const reference::TargetSummary summary =
+      reference::TargetSummary::Compute(data.dataset.targets, 0);
   for (const double exponent : {0.0, 0.5, 1.0}) {
-    baseline::DispersionCorrectedParams params;
+    reference::DispersionCorrectedParams params;
     params.size_exponent = exponent;
-    const search::QualityFunction family_quality =
+    const reference::QualityFunction family_quality =
         [&](const pattern::Intention&, const pattern::Extension& ext) {
-          return baseline::DispersionCorrectedFamilyQuality(
+          return reference::DispersionCorrectedFamilyQuality(
               data.dataset.targets, 0, summary, ext, params);
         };
-    const search::ExhaustiveResult found = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult found = reference::ExhaustiveSearch(
         data.dataset.descriptions, pool, config, family_quality);
     const double si = quality(found.best.intention, found.best.extension);
     std::printf("%-24s %12.3f %12.2f %10zu %12zu\n",

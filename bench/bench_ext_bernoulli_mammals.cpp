@@ -19,7 +19,7 @@
 
 #include "core/session.hpp"
 #include "datagen/mammals.hpp"
-#include "model/bernoulli_model.hpp"
+#include "reference/bernoulli_model.hpp"
 #include "si/interestingness.hpp"
 
 int main() {
@@ -53,8 +53,9 @@ int main() {
   Result<model::BackgroundModel> gaussian =
       model::BackgroundModel::CreateFromData(data.dataset.targets);
   gaussian.status().CheckOK();
-  Result<model::BernoulliBackgroundModel> bernoulli =
-      model::BernoulliBackgroundModel::CreateFromData(data.dataset.targets);
+  Result<reference::BernoulliBackgroundModel> bernoulli =
+      reference::BernoulliBackgroundModel::CreateFromData(
+          data.dataset.targets);
   bernoulli.status().CheckOK();
 
   const model::MeanStatisticMarginal gauss_marginal =

@@ -21,6 +21,7 @@
 #include "core/session.hpp"
 #include "datagen/scenarios.hpp"
 #include "kernels/kernels.hpp"
+#include "reference/naive_list_miner.hpp"
 #include "search/list_miner.hpp"
 #include "si/list_gain.hpp"
 
@@ -67,9 +68,9 @@ search::SubgroupList MineList(const Fixture& f, int threads, bool naive) {
   search::SubgroupList list =
       search::MakeEmptySubgroupList(f.dataset.targets, config.gain);
   if (naive) {
-    search::ExtendSubgroupListReference(f.dataset.descriptions,
-                                        f.dataset.targets, f.pool, config,
-                                        &list);
+    reference::ExtendSubgroupListNaive(f.dataset.descriptions,
+                                       f.dataset.targets, f.pool, config,
+                                       &list);
   } else {
     search::ExtendSubgroupList(f.dataset.descriptions, f.dataset.targets,
                                f.pool, config, &list);

@@ -9,6 +9,7 @@
 #include "optimize/sphere_optimizer.hpp"
 #include "pattern/patterns.hpp"
 #include "random/rng.hpp"
+#include "reference/callback_beam_search.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
 #include "si/interestingness.hpp"
@@ -69,18 +70,12 @@ void BM_BeamSearchSyntheticFull(sisd::bench::State& state) {
   search::SearchConfig config;
   config.min_coverage = 5;
   const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(model.Value(), data.dataset.targets, dl);
   for (auto _ : state) {
     sisd::bench::DoNotOptimize(
-        search::BeamSearch(data.dataset.descriptions, pool, config, quality));
+        reference::CallbackBeamSearch(data.dataset.descriptions, pool, config,
+                                      quality));
   }
 }
 SISD_BENCHMARK(BM_BeamSearchSyntheticFull)->Unit(sisd::bench::kMillisecond);
@@ -97,18 +92,12 @@ void BM_BeamSearchCrimeDepth2(sisd::bench::State& state) {
   config.beam_width = static_cast<int>(state.range(0));
   config.min_coverage = 20;
   const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(model.Value(), data.dataset.targets, dl);
   for (auto _ : state) {
     sisd::bench::DoNotOptimize(
-        search::BeamSearch(data.dataset.descriptions, pool, config, quality));
+        reference::CallbackBeamSearch(data.dataset.descriptions, pool, config,
+                                      quality));
   }
 }
 SISD_BENCHMARK(BM_BeamSearchCrimeDepth2)

@@ -18,8 +18,8 @@
 #include "datagen/synthetic.hpp"
 #include "model/background_model.hpp"
 #include "pattern/patterns.hpp"
+#include "reference/exhaustive_search.hpp"
 #include "search/beam_search.hpp"
-#include "search/exhaustive_search.hpp"
 #include "search/optimal_search.hpp"
 #include "search/si_evaluator.hpp"
 
@@ -61,16 +61,8 @@ const Fixture& Synth() {
   return fixture;
 }
 
-search::QualityFunction CallbackQuality(const Fixture& f) {
-  return [&f](const pattern::Intention& intention,
-              const pattern::Extension& ext) {
-    const linalg::Vector mean = pattern::SubgroupMean(f.dataset.targets, ext);
-    return si::ScoreLocation(f.model, ext, mean, intention.size(), f.dl).si;
-  };
-}
-
-search::ExhaustiveConfig DfsConfig(const Fixture& f) {
-  search::ExhaustiveConfig config;
+reference::ExhaustiveConfig DfsConfig(const Fixture& f) {
+  reference::ExhaustiveConfig config;
   config.max_depth = 2;
   config.min_coverage = f.min_coverage;
   return config;
@@ -93,15 +85,16 @@ search::OptimalResult RunEngine(const Fixture& f, int threads) {
 /// The old optimal path: callback DFS with the tight univariate bound.
 void BM_Crime_CallbackDfsBnB(sisd::bench::State& state) {
   const Fixture& f = Crime();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::OptimisticBound bound =
-      search::MakeUnivariateSiBound(f.model, f.dataset.targets, f.dl,
-                                    f.min_coverage)
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(f.model, f.dataset.targets, f.dl);
+  const reference::OptimisticBound bound =
+      reference::MakeUnivariateSiBound(f.model, f.dataset.targets, f.dl,
+                                       f.min_coverage)
           .Value();
-  const search::ExhaustiveConfig config = DfsConfig(f);
+  const reference::ExhaustiveConfig config = DfsConfig(f);
   size_t evaluated = 0;
   for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult r = reference::ExhaustiveSearch(
         f.dataset.descriptions, f.pool, config, quality, &bound);
     evaluated = r.num_evaluated;
     sisd::bench::DoNotOptimize(r.best.quality);
@@ -113,11 +106,12 @@ SISD_BENCHMARK(BM_Crime_CallbackDfsBnB)->Unit(sisd::bench::kMillisecond);
 /// Plain callback DFS without the bound (full enumeration context).
 void BM_Crime_CallbackDfsPlain(sisd::bench::State& state) {
   const Fixture& f = Crime();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::ExhaustiveConfig config = DfsConfig(f);
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(f.model, f.dataset.targets, f.dl);
+  const reference::ExhaustiveConfig config = DfsConfig(f);
   size_t evaluated = 0;
   for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult r = reference::ExhaustiveSearch(
         f.dataset.descriptions, f.pool, config, quality);
     evaluated = r.num_evaluated;
     sisd::bench::DoNotOptimize(r.best.quality);
@@ -171,11 +165,12 @@ SISD_BENCHMARK(BM_Crime_Beam)->Unit(sisd::bench::kMillisecond);
 
 void BM_Synth_CallbackDfs(sisd::bench::State& state) {
   const Fixture& f = Synth();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::ExhaustiveConfig config = DfsConfig(f);
+  const reference::QualityFunction quality =
+      reference::SiLocationQuality(f.model, f.dataset.targets, f.dl);
+  const reference::ExhaustiveConfig config = DfsConfig(f);
   size_t evaluated = 0;
   for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
+    const reference::ExhaustiveResult r = reference::ExhaustiveSearch(
         f.dataset.descriptions, f.pool, config, quality);
     evaluated = r.num_evaluated;
     sisd::bench::DoNotOptimize(r.best.quality);

@@ -16,7 +16,7 @@ out="${1:-BENCH_append.json}"
 # Dedicated Release build dir (same rationale as bench_baseline.sh).
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target bench_append
+cmake --build build-bench -j "$(nproc)" --target bench_append
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT

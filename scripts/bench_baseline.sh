@@ -16,7 +16,7 @@ out="${1:-BENCH_baseline.json}"
 # (e.g. SISD_SANITIZE) can't contaminate the recorded numbers.
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j \
+cmake --build build-bench -j "$(nproc)" \
   --target bench_micro_model bench_micro_search bench_miner_e2e \
            bench_session_refit bench_kernels
 

@@ -13,7 +13,7 @@ out="${1:-BENCH_catalog.json}"
 # Dedicated Release build dir (same rationale as bench_baseline.sh).
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target bench_catalog_storm
+cmake --build build-bench -j "$(nproc)" --target bench_catalog_storm
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

@@ -13,7 +13,7 @@ out="${1:-BENCH_list.json}"
 # Dedicated Release build dir (same rationale as bench_baseline.sh).
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target bench_list
+cmake --build build-bench -j "$(nproc)" --target bench_list
 
 tmp=$(mktemp)
 tmp_quality=$(mktemp)

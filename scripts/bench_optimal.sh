@@ -12,7 +12,7 @@ out="${1:-BENCH_optimal.json}"
 # Dedicated Release build dir (same rationale as bench_baseline.sh).
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target bench_optimal
+cmake --build build-bench -j "$(nproc)" --target bench_optimal
 
 tmp=$(mktemp)
 tmp_gap=$(mktemp)
@@ -47,7 +47,7 @@ def ratio(slow, fast):
 
 summary = {
     # The headline: new engine vs the old callback-DFS optimal path
-    # (ExhaustiveSearch + MakeUnivariateSiBound), both provably optimal,
+    # (reference::ExhaustiveSearch + MakeUnivariateSiBound), both optimal,
     # single-threaded, depth 2 on the full crime shape.
     "crime_speedup_vs_callback_dfs_bnb":
         ratio("BM_Crime_CallbackDfsBnB", "BM_Crime_OptimalBnB_1thread"),

@@ -17,7 +17,7 @@ rounds="${3:-6}"
 # build_type it reports and aborts on a non-release build.
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target sisd_serve_bin sisd_loadgen
+cmake --build build-bench -j "$(nproc)" --target sisd_serve_bin sisd_loadgen
 
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT

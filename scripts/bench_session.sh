@@ -11,7 +11,7 @@ out="${1:-BENCH_session.json}"
 # Dedicated Release build dir (same rationale as bench_baseline.sh).
 cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release -DSISD_SANITIZE= \
   -DSISD_BUILD_TESTS=OFF -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-bench -j --target bench_session_refit
+cmake --build build-bench -j "$(nproc)" --target bench_session_refit
 
 tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT

@@ -11,6 +11,6 @@ cd "$(dirname "$0")/.."
 cmake -B build-asan -S . \
   -DSISD_SANITIZE=address,undefined \
   -DSISD_BUILD_BENCH=OFF
-cmake --build build-asan -j
+cmake --build build-asan -j "$(nproc)"
 cd build-asan
 ctest --output-on-failure -L 'unit|fuzz' -j "$(nproc)"

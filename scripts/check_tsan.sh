@@ -26,7 +26,7 @@ cmake -B build-tsan -S . \
   -DSISD_SANITIZE=thread \
   -DSISD_BUILD_BENCH=OFF \
   -DSISD_BUILD_EXAMPLES=OFF
-cmake --build build-tsan -j \
+cmake --build build-tsan -j "$(nproc)" \
   --target batch_evaluator_test thread_invariance_test beam_search_test \
            optimal_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \

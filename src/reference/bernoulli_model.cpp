@@ -1,11 +1,11 @@
-#include "model/bernoulli_model.hpp"
+#include "reference/bernoulli_model.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "stats/descriptive.hpp"
 
-namespace sisd::model {
+namespace sisd::reference {
 
 namespace {
 
@@ -252,4 +252,4 @@ Result<double> SolveBernoulliTilt(const std::vector<double>& logits,
   return lambda;
 }
 
-}  // namespace sisd::model
+}  // namespace sisd::reference

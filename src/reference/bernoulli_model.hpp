@@ -23,9 +23,13 @@
 /// joint IC is the sum). Spread patterns are intentionally unsupported:
 /// a Bernoulli variance is determined by its mean, the very observation
 /// that led the paper to mine location patterns only on the mammals data.
+///
+/// No production path uses this model: it backs the
+/// `bench_ext_bernoulli_mammals` comparison and is the starting point of a
+/// pluggable target-likelihood family.
 
-#ifndef SISD_MODEL_BERNOULLI_MODEL_HPP_
-#define SISD_MODEL_BERNOULLI_MODEL_HPP_
+#ifndef SISD_REFERENCE_BERNOULLI_MODEL_HPP_
+#define SISD_REFERENCE_BERNOULLI_MODEL_HPP_
 
 #include <vector>
 
@@ -34,7 +38,7 @@
 #include "linalg/vector.hpp"
 #include "pattern/extension.hpp"
 
-namespace sisd::model {
+namespace sisd::reference {
 
 /// \brief Rows sharing identical Bernoulli parameters.
 struct BernoulliGroup {
@@ -121,6 +125,6 @@ Result<double> SolveBernoulliTilt(const std::vector<double>& logits,
                                   double tolerance = 1e-12,
                                   int max_iterations = 200);
 
-}  // namespace sisd::model
+}  // namespace sisd::reference
 
-#endif  // SISD_MODEL_BERNOULLI_MODEL_HPP_
+#endif  // SISD_REFERENCE_BERNOULLI_MODEL_HPP_

@@ -1,11 +1,11 @@
-#include "search/exhaustive_search.hpp"
+#include "reference/exhaustive_search.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <vector>
 
-namespace sisd::search {
+namespace sisd::reference {
 
 namespace {
 
@@ -15,7 +15,7 @@ constexpr double kLog2Pi = 1.8378770664093453;
 
 struct DfsContext {
   const data::DataTable* table;
-  const ConditionPool* pool;
+  const search::ConditionPool* pool;
   const ExhaustiveConfig* config;
   const QualityFunction* quality;
   const OptimisticBound* bound;
@@ -81,7 +81,7 @@ void Dfs(DfsContext* ctx, const pattern::Intention& intention,
 }  // namespace
 
 ExhaustiveResult ExhaustiveSearch(const data::DataTable& table,
-                                  const ConditionPool& pool,
+                                  const search::ConditionPool& pool,
                                   const ExhaustiveConfig& config,
                                   const QualityFunction& quality,
                                   const OptimisticBound* bound) {
@@ -169,4 +169,4 @@ Result<OptimisticBound> MakeUnivariateSiBound(
   return bound;
 }
 
-}  // namespace sisd::search
+}  // namespace sisd::reference

@@ -11,9 +11,13 @@
 /// language — the ground truth the heuristic beam search can be measured
 /// against. With an optimistic bound it prunes subtrees that provably
 /// cannot beat the incumbent.
+///
+/// This sequential callback DFS is the oracle of the production
+/// branch-and-bound (search/optimal_search.hpp): `optimal_search_test`
+/// holds the two to the same optimum on every scenario.
 
-#ifndef SISD_SEARCH_EXHAUSTIVE_SEARCH_HPP_
-#define SISD_SEARCH_EXHAUSTIVE_SEARCH_HPP_
+#ifndef SISD_REFERENCE_EXHAUSTIVE_SEARCH_HPP_
+#define SISD_REFERENCE_EXHAUSTIVE_SEARCH_HPP_
 
 #include <functional>
 #include <limits>
@@ -21,11 +25,12 @@
 
 #include "data/table.hpp"
 #include "model/background_model.hpp"
+#include "reference/callback_beam_search.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
 #include "si/interestingness.hpp"
 
-namespace sisd::search {
+namespace sisd::reference {
 
 /// \brief Settings for the exhaustive search.
 struct ExhaustiveConfig {
@@ -46,7 +51,7 @@ using OptimisticBound = std::function<double(const pattern::Intention&,
 
 /// \brief Outcome of an exhaustive run.
 struct ExhaustiveResult {
-  ScoredSubgroup best;     ///< global optimum (if `completed`)
+  search::ScoredSubgroup best;  ///< global optimum (if `completed`)
   size_t num_evaluated = 0;  ///< candidates scored
   size_t num_pruned_nodes = 0;  ///< subtrees cut by the bound
   bool completed = true;   ///< false iff the time budget was hit
@@ -57,7 +62,7 @@ struct ExhaustiveResult {
 /// `bound`, when provided, enables branch-and-bound pruning; it must be a
 /// valid optimistic estimate or the result may be suboptimal.
 ExhaustiveResult ExhaustiveSearch(const data::DataTable& table,
-                                  const ConditionPool& pool,
+                                  const search::ConditionPool& pool,
                                   const ExhaustiveConfig& config,
                                   const QualityFunction& quality,
                                   const OptimisticBound* bound = nullptr);
@@ -85,6 +90,6 @@ Result<OptimisticBound> MakeUnivariateSiBound(
     const model::BackgroundModel& model, const linalg::Matrix& y,
     const si::DescriptionLengthParams& dl_params, size_t min_coverage);
 
-}  // namespace sisd::search
+}  // namespace sisd::reference
 
-#endif  // SISD_SEARCH_EXHAUSTIVE_SEARCH_HPP_
+#endif  // SISD_REFERENCE_EXHAUSTIVE_SEARCH_HPP_

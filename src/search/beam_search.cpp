@@ -181,33 +181,6 @@ class TopList {
   std::unordered_set<std::vector<uint32_t>, IdVectorHash> seen_;
 };
 
-/// Adapter scoring candidates through a legacy `QualityFunction`. The
-/// callback protocol materializes the extension and reconstructs the
-/// intention per candidate (what the batch protocol exists to avoid), and
-/// arbitrary callbacks are not assumed thread-safe, so this evaluator is
-/// single-threaded.
-class CallbackEvaluator final : public BatchEvaluator {
- public:
-  explicit CallbackEvaluator(const QualityFunction& quality)
-      : quality_(&quality) {}
-
-  void ScoreChunk(const CandidateBatch& batch, size_t begin, size_t end,
-                  size_t worker, double* scores) override {
-    (void)worker;
-    for (size_t i = begin; i < end; ++i) {
-      const CandidateBatch::Item& item = batch.items[i];
-      const pattern::Extension extension = pattern::Extension::Intersect(
-          batch.parent_extension(item), batch.condition_extension(item));
-      const pattern::Intention intention =
-          MakeIntention(*batch.pool, batch.ids_of(i));
-      scores[i] = (*quality_)(intention, extension);
-    }
-  }
-
- private:
-  const QualityFunction* quality_;
-};
-
 }  // namespace
 
 Status ValidateSearchConfig(const SearchConfig& config) {
@@ -228,6 +201,14 @@ Status ValidateSearchConfig(const SearchConfig& config) {
     return Status::InvalidArgument(
         StrFormat("max_coverage_fraction must be in [0, 1] (got %g)",
                   config.max_coverage_fraction));
+  }
+  return ValidateTimeBudget(config.time_budget_seconds);
+}
+
+Status ValidateTimeBudget(double seconds) {
+  if (!(seconds >= 0.0)) {
+    return Status::InvalidArgument(
+        StrFormat("time budget must be >= 0 seconds (got %g)", seconds));
   }
   return Status::OK();
 }
@@ -442,13 +423,6 @@ SearchResult BeamSearch(const data::DataTable& table,
     result.top.push_back(std::move(scored));
   }
   return result;
-}
-
-SearchResult BeamSearch(const data::DataTable& table,
-                        const ConditionPool& pool, const SearchConfig& config,
-                        const QualityFunction& quality) {
-  CallbackEvaluator evaluator(quality);
-  return BeamSearch(table, pool, config, evaluator);
 }
 
 }  // namespace sisd::search

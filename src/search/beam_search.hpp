@@ -2,20 +2,18 @@
 /// \brief Level-wise beam search over conjunctions of conditions
 /// (paper §II-D, "Location pattern").
 ///
-/// The search is generic in the quality scorer, so the same engine drives
-/// (a) the SI-based location-pattern search of the paper and (b) the
-/// baseline quality measures used for comparison. Per beam level the search
-/// generates one candidate batch and scores it through a `BatchEvaluator`
-/// (in parallel when the evaluator allows it); the beam keeps the
-/// `beam_width` best per level and a global top-`k` list collects the best
-/// subgroups seen anywhere in the search. Results are merged in candidate
-/// generation order, so the output is bit-identical for any thread count.
-/// A `QualityFunction` callback overload is kept for arbitrary measures.
+/// The search is generic in the quality scorer: the SI location-pattern
+/// search of the paper and the list miner's compression gain are two
+/// `BatchEvaluator`s over the same engine. Per beam level the search
+/// generates one candidate batch and scores it through the evaluator (in
+/// parallel when the evaluator allows it); the beam keeps the `beam_width`
+/// best per level and a global top-`k` list collects the best subgroups
+/// seen anywhere in the search. Results are merged in candidate generation
+/// order, so the output is bit-identical for any thread count.
 
 #ifndef SISD_SEARCH_BEAM_SEARCH_HPP_
 #define SISD_SEARCH_BEAM_SEARCH_HPP_
 
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -56,16 +54,16 @@ struct SearchConfig {
 };
 
 /// \brief Returns InvalidArgument unless `config` can drive a search:
-/// `beam_width`, `max_depth`, `num_split_points` and `top_k` at least 1 and
-/// `max_coverage_fraction` in [0, 1]. Sessions check it through
+/// `beam_width`, `max_depth`, `num_split_points` and `top_k` at least 1,
+/// `max_coverage_fraction` in [0, 1] and `time_budget_seconds` >= 0 (+inf
+/// allowed, NaN rejected). Sessions check it through
 /// `core::ValidateMinerConfig`.
 Status ValidateSearchConfig(const SearchConfig& config);
 
-/// \brief Quality callback: returns the score of a candidate subgroup.
-/// Return -inf to reject a candidate entirely (it will not enter the beam
-/// nor the result list).
-using QualityFunction = std::function<double(
-    const pattern::Intention&, const pattern::Extension&)>;
+/// \brief Returns InvalidArgument unless `seconds` is a usable wall-clock
+/// budget: >= 0, +inf allowed, NaN rejected. Zero is valid and stops a
+/// search before any work.
+Status ValidateTimeBudget(double seconds);
 
 /// \brief One scored subgroup in the search output.
 struct ScoredSubgroup {
@@ -92,7 +90,7 @@ struct SearchResult {
 };
 
 /// \brief Runs beam search over `pool`, scoring candidate batches through
-/// `evaluator` (the primary engine entry point).
+/// `evaluator`.
 ///
 /// When `shared_workers` is non-null the search scores through that pool
 /// (whose worker count overrides `config.num_threads`) instead of spinning
@@ -103,13 +101,6 @@ SearchResult BeamSearch(const data::DataTable& table,
                         const ConditionPool& pool, const SearchConfig& config,
                         BatchEvaluator& evaluator,
                         ThreadPool* shared_workers = nullptr);
-
-/// \brief Callback compatibility overload: wraps `quality` in a
-/// single-threaded batch evaluator (arbitrary callbacks are not assumed
-/// thread-safe). Behaviour and results match the batch entry point.
-SearchResult BeamSearch(const data::DataTable& table,
-                        const ConditionPool& pool, const SearchConfig& config,
-                        const QualityFunction& quality);
 
 }  // namespace sisd::search
 

@@ -57,7 +57,7 @@ std::vector<kernels::MaskedMoments> FitLocalModel(
 /// consecutive candidates sharing a parent). The kernel lane contract
 /// makes masked lanes unobservable, so these fused moments are bit-equal
 /// to moments over the materialized captured bitset — the property the
-/// naive reference below checks differentially.
+/// naive oracle (reference/naive_list_miner.hpp) checks differentially.
 class ListGainEvaluator final : public BatchEvaluator {
  public:
   ListGainEvaluator(const std::vector<std::vector<double>>& columns,
@@ -128,109 +128,6 @@ class ListGainEvaluator final : public BatchEvaluator {
   std::vector<Worker> workers_;
 };
 
-/// Reference evaluator: materializes every candidate extension and its
-/// captured subset, recomputes moments on the materialized bitset, and
-/// declines parallel scoring — no scratch reuse, no fused masks, no
-/// threads. Deliberately the slowest honest implementation.
-class NaiveListGainEvaluator final : public BatchEvaluator {
- public:
-  NaiveListGainEvaluator(const std::vector<std::vector<double>>& columns,
-                         const pattern::Extension& uncovered,
-                         const si::LocalNormalModel& default_model,
-                         const si::ListGainParams& params,
-                         size_t min_captured)
-      : columns_(&columns),
-        uncovered_(&uncovered),
-        default_(&default_model),
-        params_(params),
-        min_captured_(min_captured) {}
-
-  void ScoreChunk(const CandidateBatch& batch, size_t begin, size_t end,
-                  size_t /*worker*/, double* scores) override {
-    const size_t dy = columns_->size();
-    for (size_t i = begin; i < end; ++i) {
-      const CandidateBatch::Item& item = batch.items[i];
-      const pattern::Extension candidate = pattern::Extension::Intersect(
-          batch.parent_extension(item), batch.condition_extension(item));
-      const pattern::Extension captured =
-          pattern::Extension::Intersect(candidate, *uncovered_);
-      if (dy == 0 || captured.count() < min_captured_) {
-        scores[i] = kNegInf;
-        continue;
-      }
-      std::vector<kernels::MaskedMoments> moments(dy);
-      const uint64_t* blocks = captured.blocks().data();
-      const size_t num_blocks = captured.blocks().size();
-      for (size_t j = 0; j < dy; ++j) {
-        moments[j] = kernels::MaskedMomentsAnd((*columns_)[j].data(), blocks,
-                                               blocks, num_blocks);
-      }
-      scores[i] = si::ListGainFromMoments(moments.data(), dy, *default_,
-                                          batch.depth, params_);
-    }
-  }
-
- private:
-  const std::vector<std::vector<double>>* columns_;
-  const pattern::Extension* uncovered_;
-  const si::LocalNormalModel* default_;
-  si::ListGainParams params_;
-  size_t min_captured_;
-};
-
-ListMineStats ExtendImpl(const data::DataTable& table,
-                         const linalg::Matrix& targets,
-                         const ConditionPool& pool,
-                         const ListSearchConfig& config, SubgroupList* list,
-                         ThreadPool* shared_workers, bool naive) {
-  SISD_CHECK(list != nullptr);
-  ListMineStats stats;
-  const std::vector<std::vector<double>> columns = CopyTargetColumns(targets);
-  const size_t min_captured = std::max<size_t>(1, config.min_captured);
-  const size_t max_rules = size_t(std::max(1, config.max_rules));
-
-  while (stats.rules_appended < max_rules) {
-    if (list->uncovered.count() < min_captured) {
-      stats.exhausted = true;
-      break;
-    }
-    SearchResult result;
-    if (naive) {
-      NaiveListGainEvaluator evaluator(columns, list->uncovered,
-                                       list->default_model, config.gain,
-                                       min_captured);
-      result = BeamSearch(table, pool, config.search, evaluator);
-    } else {
-      ListGainEvaluator evaluator(columns, list->uncovered,
-                                  list->default_model, config.gain,
-                                  min_captured);
-      result =
-          BeamSearch(table, pool, config.search, evaluator, shared_workers);
-    }
-    stats.num_evaluated += result.num_evaluated;
-    stats.hit_time_budget = stats.hit_time_budget || result.hit_time_budget;
-    // Stop when nothing compresses: a rule with gain <= 0 would make the
-    // encoding longer, so the greedy list is complete.
-    if (result.top.empty() || !(result.best().quality > 0.0)) {
-      stats.exhausted = true;
-      break;
-    }
-
-    const ScoredSubgroup& best = result.best();
-    SubgroupRule rule;
-    rule.intention = best.intention;
-    rule.extension = best.extension;
-    rule.captured =
-        pattern::Extension::Intersect(best.extension, list->uncovered);
-    FitLocalModel(columns, rule.captured, config.gain.variance_floor,
-                  &rule.local);
-    rule.gain = best.quality;
-    ReplaySubgroupRule(std::move(rule), list);
-    ++stats.rules_appended;
-  }
-  return stats;
-}
-
 }  // namespace
 
 SubgroupList MakeEmptySubgroupList(const linalg::Matrix& targets,
@@ -255,17 +152,44 @@ ListMineStats ExtendSubgroupList(const data::DataTable& table,
                                  const ListSearchConfig& config,
                                  SubgroupList* list,
                                  ThreadPool* shared_workers) {
-  return ExtendImpl(table, targets, pool, config, list, shared_workers,
-                    /*naive=*/false);
-}
+  SISD_CHECK(list != nullptr);
+  ListMineStats stats;
+  const std::vector<std::vector<double>> columns = CopyTargetColumns(targets);
+  const size_t min_captured = std::max<size_t>(1, config.min_captured);
+  const size_t max_rules = size_t(std::max(1, config.max_rules));
 
-ListMineStats ExtendSubgroupListReference(const data::DataTable& table,
-                                          const linalg::Matrix& targets,
-                                          const ConditionPool& pool,
-                                          const ListSearchConfig& config,
-                                          SubgroupList* list) {
-  return ExtendImpl(table, targets, pool, config, list, nullptr,
-                    /*naive=*/true);
+  while (stats.rules_appended < max_rules) {
+    if (list->uncovered.count() < min_captured) {
+      stats.exhausted = true;
+      break;
+    }
+    ListGainEvaluator evaluator(columns, list->uncovered,
+                                list->default_model, config.gain,
+                                min_captured);
+    const SearchResult result =
+        BeamSearch(table, pool, config.search, evaluator, shared_workers);
+    stats.num_evaluated += result.num_evaluated;
+    stats.hit_time_budget = stats.hit_time_budget || result.hit_time_budget;
+    // Stop when nothing compresses: a rule with gain <= 0 would make the
+    // encoding longer, so the greedy list is complete.
+    if (result.top.empty() || !(result.best().quality > 0.0)) {
+      stats.exhausted = true;
+      break;
+    }
+
+    const ScoredSubgroup& best = result.best();
+    SubgroupRule rule;
+    rule.intention = best.intention;
+    rule.extension = best.extension;
+    rule.captured =
+        pattern::Extension::Intersect(best.extension, list->uncovered);
+    FitLocalModel(columns, rule.captured, config.gain.variance_floor,
+                  &rule.local);
+    rule.gain = best.quality;
+    ReplaySubgroupRule(std::move(rule), list);
+    ++stats.rules_appended;
+  }
+  return stats;
 }
 
 void ReplaySubgroupRule(SubgroupRule rule, SubgroupList* list) {

@@ -16,9 +16,10 @@
 /// index-order merging all come from `BeamSearch`, and the gain is a pure
 /// function of the candidate plus the (fixed-per-round) uncovered set — so
 /// the mined list is bit-identical for any thread count and `SISD_KERNELS`
-/// setting. `ExtendSubgroupListReference` re-derives every candidate's gain
-/// from scratch (materialized bitsets, no caching, no parallelism); the
-/// differential test `list_miner_test` holds the two bit-equal.
+/// setting. The naive oracle `reference::ExtendSubgroupListNaive` scores
+/// every candidate from materialized bitsets and rebuilds every rule from
+/// its intention through `RederiveSubgroupRule`; the differential test
+/// `list_miner_test` holds the two bit-equal.
 
 #ifndef SISD_SEARCH_LIST_MINER_HPP_
 #define SISD_SEARCH_LIST_MINER_HPP_
@@ -102,18 +103,6 @@ ListMineStats ExtendSubgroupList(const data::DataTable& table,
                                  const ListSearchConfig& config,
                                  SubgroupList* list,
                                  ThreadPool* shared_workers = nullptr);
-
-/// \brief Naive single-threaded reference: identical beam enumeration, but
-/// every candidate's gain is recomputed directly — materialize the
-/// candidate extension, intersect with the uncovered set, take moments on
-/// the materialized bitset — with no per-worker scratch, caching, or
-/// fused-mask shortcuts. Exists for the differential test; bit-identical
-/// to `ExtendSubgroupList` by the kernel lane contract.
-ListMineStats ExtendSubgroupListReference(const data::DataTable& table,
-                                          const linalg::Matrix& targets,
-                                          const ConditionPool& pool,
-                                          const ListSearchConfig& config,
-                                          SubgroupList* list);
 
 /// \brief Re-applies a saved rule to `*list` without searching: pushes the
 /// rule, removes its extension from the uncovered set, and accumulates its

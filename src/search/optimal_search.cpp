@@ -45,8 +45,8 @@ struct BoundOracle {
 std::optional<BoundOracle> MakeBoundOracle(
     const model::BackgroundModel& model, const linalg::Matrix& targets,
     const si::DescriptionLengthParams& dl, size_t min_cov) {
-  // Same applicability as MakeUnivariateSiBound: univariate target, initial
-  // single-group model, positive variance.
+  // Same applicability as reference::MakeUnivariateSiBound: univariate
+  // target, initial single-group model, positive variance.
   if (model.dim() != 1 || model.num_groups() != 1) return std::nullopt;
   if (targets.cols() != 1 || targets.rows() != model.num_rows()) {
     return std::nullopt;
@@ -169,8 +169,8 @@ struct SearchShared {
 /// `child_num_conditions` conditions): scatter the child's rows into the
 /// worker's rank-space bitset, sweep ascending to gather the values in
 /// sorted order (clearing as it goes), and run the bottom-k/top-k
-/// prefix-sum maximization of MakeUnivariateSiBound — same arithmetic,
-/// no sort, no allocation.
+/// prefix-sum maximization of reference::MakeUnivariateSiBound — same
+/// arithmetic, no sort, no allocation.
 double ChildBound(const BoundOracle& oracle, WorkerScratch* ws,
                   const pattern::Extension& parent,
                   const pattern::Extension& cond, size_t m,
@@ -209,7 +209,7 @@ double ChildBound(const BoundOracle& oracle, WorkerScratch* ws,
     best_ic = std::max(best_ic, ic);
   }
   // Every strict refinement carries at least one more condition; negative
-  // IC makes 0 the valid supremum (see MakeUnivariateSiBound).
+  // IC makes 0 the valid supremum (see reference::MakeUnivariateSiBound).
   const double min_descendant_dl =
       oracle.gamma * double(child_num_conditions + 1) + oracle.eta;
   return best_ic >= 0.0 ? best_ic / min_descendant_dl : 0.0;

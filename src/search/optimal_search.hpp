@@ -3,8 +3,9 @@
 /// optimal location patterns (paper §V future work; bounds after Boley et
 /// al., ECML-PKDD 2017).
 ///
-/// `ExhaustiveSearch` (exhaustive_search.hpp) remains the reference
-/// implementation: a sequential DFS over a per-candidate `std::function`
+/// The test oracle for this search is the exhaustive DFS of the reference
+/// module (reference/exhaustive_search.hpp, linked only by tests and
+/// benches): a sequential DFS over a per-candidate `std::function`
 /// callback, where every child materializes a fresh `Extension` and every
 /// bound call re-gathers and re-sorts the node's target values. This module
 /// is the engine-native rebuild of the same search:
@@ -30,7 +31,7 @@
 /// ## Determinism
 ///
 /// The returned optimum is **bit-identical for any thread count and any
-/// `SISD_KERNELS` setting**, and matches what `ExhaustiveSearch` finds:
+/// `SISD_KERNELS` setting**, and matches what the exhaustive DFS finds:
 ///
 ///  - pruning is *strict* (`bound < incumbent`), so every candidate whose
 ///    quality ties the optimum is always enumerated, regardless of how

@@ -136,6 +136,15 @@ TEST(MiningSessionTest, CreateRejectsSearchConfigsTheSearchCannotRun) {
   config = FastConfig();
   config.search.top_k = 0;
   EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument);
+  // A negative budget fails every mine and NaN ignores the budget.
+  for (const double budget :
+       {-1.0, -5.0, std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::infinity()}) {
+    config = FastConfig();
+    config.search.time_budget_seconds = budget;
+    EXPECT_EQ(create(config).status().code(), StatusCode::kInvalidArgument)
+        << "time_budget_seconds=" << budget;
+  }
   // Description lengths must be positive for every pattern.
   for (const auto& [gamma, eta] :
        {std::pair<double, double>{0.0, 0.0}, {-1.0, 0.5}, {0.1, -1.0},

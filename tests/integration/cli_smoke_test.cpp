@@ -240,6 +240,19 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
               std::string::npos)
         << misuse;
   }
+  // A NaN budget would be ignored and a negative one would fail every
+  // mine: both are rejected up front, by mine and list alike.
+  for (const std::string command : {"mine", "list"}) {
+    for (const std::string budget : {"nan", "-1"}) {
+      const std::string misuse =
+          command + " --scenario synthetic --time-budget " + budget;
+      EXPECT_NE(RunCli(misuse, Path("out.txt")), 0) << misuse;
+      EXPECT_NE(ReadFile(Path("out.txt"))
+                    .find("time budget must be >= 0 seconds"),
+                std::string::npos)
+          << misuse << ": " << ReadFile(Path("out.txt"));
+    }
+  }
   // `optimal` builds its pool and search from flags directly: values they
   // cannot run fail naming the flag instead of aborting.
   const std::pair<std::string, std::string> optimal_misuses[] = {
@@ -249,6 +262,10 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
        "gamma must be finite and >= 0"},
       {"--scenario synthetic --max-depth 1 --gamma 0 --eta 0",
        "gamma + eta must be > 0"},
+      {"--scenario synthetic --max-depth 1 --time-budget nan",
+       "time budget must be >= 0 seconds"},
+      {"--scenario synthetic --max-depth 1 --time-budget -1",
+       "time budget must be >= 0 seconds"},
   };
   for (const auto& [misuse, message] : optimal_misuses) {
     const int rc = RunCli("optimal " + misuse, Path("out.txt"));

@@ -1,4 +1,4 @@
-#include "model/bernoulli_model.hpp"
+#include "reference/bernoulli_model.hpp"
 
 #include <cmath>
 
@@ -6,7 +6,7 @@
 
 #include "random/rng.hpp"
 
-namespace sisd::model {
+namespace sisd::reference {
 namespace {
 
 using linalg::Matrix;
@@ -190,4 +190,4 @@ TEST(SolveBernoulliTiltTest, MixedGroupsSatisfyConstraint) {
 }
 
 }  // namespace
-}  // namespace sisd::model
+}  // namespace sisd::reference

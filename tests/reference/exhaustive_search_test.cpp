@@ -1,4 +1,4 @@
-#include "search/exhaustive_search.hpp"
+#include "reference/exhaustive_search.hpp"
 
 #include <cmath>
 
@@ -8,19 +8,10 @@
 #include "datagen/synthetic.hpp"
 #include "pattern/patterns.hpp"
 
-namespace sisd::search {
+namespace sisd::reference {
 namespace {
 
-/// SI quality bound helper: builds the standard location-SI quality.
-QualityFunction MakeSiQuality(const model::BackgroundModel& model,
-                              const linalg::Matrix& y,
-                              const si::DescriptionLengthParams& dl) {
-  return [&model, &y, dl](const pattern::Intention& intention,
-                          const pattern::Extension& ext) {
-    const linalg::Vector mean = pattern::SubgroupMean(y, ext);
-    return si::ScoreLocation(model, ext, mean, intention.size(), dl).si;
-  };
-}
+using search::ConditionPool;
 
 TEST(ExhaustiveSearchTest, FindsGlobalOptimumOnSyntheticData) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
@@ -31,7 +22,7 @@ TEST(ExhaustiveSearchTest, FindsGlobalOptimumOnSyntheticData) {
       ConditionPool::Build(data.dataset.descriptions, 4);
   const si::DescriptionLengthParams dl;
   const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
+      SiLocationQuality(model.Value(), data.dataset.targets, dl);
 
   ExhaustiveConfig config;
   config.max_depth = 2;
@@ -60,7 +51,7 @@ TEST(ExhaustiveSearchTest, BeamSearchMatchesExhaustiveOptimum) {
       ConditionPool::Build(data.dataset.descriptions, 4);
   const si::DescriptionLengthParams dl;
   const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
+      SiLocationQuality(model.Value(), data.dataset.targets, dl);
 
   ExhaustiveConfig exhaustive_config;
   exhaustive_config.max_depth = 3;
@@ -68,11 +59,11 @@ TEST(ExhaustiveSearchTest, BeamSearchMatchesExhaustiveOptimum) {
   const ExhaustiveResult exhaustive = ExhaustiveSearch(
       data.dataset.descriptions, pool, exhaustive_config, quality);
 
-  SearchConfig beam_config;
+  search::SearchConfig beam_config;
   beam_config.max_depth = 3;
   beam_config.min_coverage = 5;
-  const SearchResult beam =
-      BeamSearch(data.dataset.descriptions, pool, beam_config, quality);
+  const search::SearchResult beam = CallbackBeamSearch(
+      data.dataset.descriptions, pool, beam_config, quality);
 
   ASSERT_TRUE(exhaustive.completed);
   ASSERT_FALSE(beam.top.empty());
@@ -159,7 +150,7 @@ TEST(UnivariateSiBoundTest, BoundDominatesAllRefinements) {
       model.Value(), data.dataset.targets, dl, 5);
   ASSERT_TRUE(bound.ok());
   const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
+      SiLocationQuality(model.Value(), data.dataset.targets, dl);
 
   // For each single-condition node, every two-condition refinement must
   // stay below the node's optimistic bound.
@@ -229,7 +220,7 @@ TEST(BranchAndBoundTest, PrunesWithoutChangingOptimum) {
       ConditionPool::Build(data.dataset.descriptions, 4);
   const si::DescriptionLengthParams dl;
   const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
+      SiLocationQuality(model.Value(), data.dataset.targets, dl);
   Result<OptimisticBound> bound = MakeUnivariateSiBound(
       model.Value(), data.dataset.targets, dl, 10);
   ASSERT_TRUE(bound.ok());
@@ -253,4 +244,4 @@ TEST(BranchAndBoundTest, PrunesWithoutChangingOptimum) {
 }
 
 }  // namespace
-}  // namespace sisd::search
+}  // namespace sisd::reference

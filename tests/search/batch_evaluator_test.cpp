@@ -13,6 +13,7 @@
 #include "datagen/crime.hpp"
 #include "datagen/synthetic.hpp"
 #include "pattern/patterns.hpp"
+#include "reference/callback_beam_search.hpp"
 #include "search/beam_search.hpp"
 #include "search/si_evaluator.hpp"
 #include "search/thread_pool.hpp"
@@ -22,18 +23,8 @@
 namespace sisd::search {
 namespace {
 
-/// The seed-era per-candidate protocol: empirical mean + free-function SI
-/// score through the QualityFunction callback.
-QualityFunction MakeCallbackQuality(const model::BackgroundModel& model,
-                                    const linalg::Matrix& y,
-                                    const si::DescriptionLengthParams& dl) {
-  return [&model, &y, dl](const pattern::Intention& intention,
-                          const pattern::Extension& extension) {
-    const linalg::Vector mean = pattern::SubgroupMean(y, extension);
-    return si::ScoreLocation(model, extension, mean, intention.size(), dl)
-        .si;
-  };
-}
+using reference::CallbackBeamSearch;
+using reference::SiLocationQuality;
 
 void ExpectIdenticalResults(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.num_evaluated, b.num_evaluated);
@@ -61,9 +52,9 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnSynthetic) {
   config.min_coverage = 5;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult callback_result = CallbackBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      SiLocationQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =
@@ -87,9 +78,9 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnCrime) {
   config.min_coverage = 20;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult callback_result = CallbackBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      SiLocationQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =
@@ -121,9 +112,9 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnMultiGroupModel) {
   config.min_coverage = 5;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult callback_result = CallbackBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      SiLocationQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =

@@ -9,10 +9,14 @@
 #include "datagen/crime.hpp"
 #include "model/background_model.hpp"
 #include "random/rng.hpp"
+#include "reference/callback_beam_search.hpp"
 #include "search/si_evaluator.hpp"
 
 namespace sisd::search {
 namespace {
+
+using reference::CallbackBeamSearch;
+using reference::QualityFunction;
 
 /// Table with one binary attribute marking a planted subgroup plus noise
 /// attributes.
@@ -232,7 +236,7 @@ TEST(BeamSearchTest, FindsPlantedSubgroupWithOracleQuality) {
         double(pattern::Extension::IntersectionCount(target, ext));
     return 2.0 * overlap - double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   ASSERT_FALSE(result.top.empty());
   EXPECT_EQ(result.best().extension, target);
   EXPECT_EQ(result.best().intention.size(), 1u);
@@ -248,7 +252,7 @@ TEST(BeamSearchTest, RespectsMinCoverage) {
                                const pattern::Extension& ext) {
     return -double(ext.count());  // prefer tiny subgroups
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_GE(sg.extension.count(), 10u);
   }
@@ -263,7 +267,7 @@ TEST(BeamSearchTest, RespectsMaxCoverageFraction) {
                                const pattern::Extension& ext) {
     return double(ext.count());  // prefer big subgroups
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_LE(sg.extension.count(), 25u);
   }
@@ -279,7 +283,7 @@ TEST(BeamSearchTest, RespectsMaxDepth) {
     if (ext.empty()) return -std::numeric_limits<double>::infinity();
     return double(intent.size());  // reward longer intentions
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_LE(sg.intention.size(), 2u);
   }
@@ -296,7 +300,7 @@ TEST(BeamSearchTest, DeduplicatesPermutedIntentions) {
                                const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   std::set<std::string> signatures;
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_TRUE(
@@ -314,7 +318,7 @@ TEST(BeamSearchTest, NeverPairsSameAttributeSameOp) {
                                const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     for (size_t a = 0; a < sg.intention.size(); ++a) {
       for (size_t b = a + 1; b < sg.intention.size(); ++b) {
@@ -338,7 +342,7 @@ TEST(BeamSearchTest, RejectedCandidatesNeverAppear) {
     }
     return 1.0;
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_FALSE(sg.intention.ConstrainsAttribute(0));
   }
@@ -354,7 +358,7 @@ TEST(BeamSearchTest, TimeBudgetStopsSearch) {
                                const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   EXPECT_TRUE(result.hit_time_budget);
 }
 
@@ -369,7 +373,7 @@ TEST(BeamSearchTest, ZeroMinCoverageNeverYieldsEmptyExtensions) {
     SISD_CHECK(!ext.empty());
     return 1.0;
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_GE(sg.extension.count(), 1u);
   }
@@ -382,7 +386,7 @@ TEST(BeamSearchTest, CountsEvaluations) {
   config.max_depth = 1;
   QualityFunction quality = [](const pattern::Intention&,
                                const pattern::Extension&) { return 1.0; };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   EXPECT_EQ(result.num_evaluated, pool.size());
 }
 
@@ -413,7 +417,7 @@ TEST(BeamSearchTest, RecoversSetExclusionPattern) {
     return 2.0 * overlap - double(ext.count());
   };
   SearchConfig config;
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = CallbackBeamSearch(table, pool, config, quality);
   ASSERT_FALSE(result.top.empty());
   EXPECT_EQ(result.best().extension, target);
   ASSERT_EQ(result.best().intention.size(), 1u);
@@ -432,8 +436,10 @@ TEST(BeamSearchTest, BeamWidthLimitsExploration) {
                                const pattern::Extension& ext) {
     return double(ext.count() % 17);  // bumpy landscape
   };
-  const SearchResult narrow_result = BeamSearch(table, pool, narrow, quality);
-  const SearchResult wide_result = BeamSearch(table, pool, wide, quality);
+  const SearchResult narrow_result =
+      CallbackBeamSearch(table, pool, narrow, quality);
+  const SearchResult wide_result =
+      CallbackBeamSearch(table, pool, wide, quality);
   EXPECT_LE(narrow_result.num_evaluated, wide_result.num_evaluated);
   EXPECT_GE(wide_result.best().quality, narrow_result.best().quality);
 }

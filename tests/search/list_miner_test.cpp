@@ -1,9 +1,9 @@
 // Differential harness for the greedy subgroup-list miner: the engine path
 // (fused masked-moment kernels, per-worker scratch, parallel chunk scoring)
-// against a naive reference that recomputes every candidate's list gain
-// from materialized bitsets — bit-identical on all five scenario
-// generators, invariant across thread counts and kernel ISAs, and sane on
-// degenerate data.
+// against a naive oracle that recomputes every candidate's list gain from
+// materialized bitsets and rebuilds every rule from its intention —
+// bit-identical on all five scenario generators, invariant across thread
+// counts and kernel ISAs, and sane on degenerate data.
 
 #include "search/list_miner.hpp"
 
@@ -18,6 +18,7 @@
 #include "datagen/scenarios.hpp"
 #include "kernels/kernels.hpp"
 #include "linalg/matrix.hpp"
+#include "reference/naive_list_miner.hpp"
 
 namespace sisd::search {
 namespace {
@@ -75,8 +76,8 @@ SubgroupList MineWith(const data::Dataset& dataset, const ConditionPool& pool,
                       const ListSearchConfig& config, bool naive) {
   SubgroupList list = MakeEmptySubgroupList(dataset.targets, config.gain);
   if (naive) {
-    ExtendSubgroupListReference(dataset.descriptions, dataset.targets, pool,
-                                config, &list);
+    reference::ExtendSubgroupListNaive(dataset.descriptions, dataset.targets,
+                                       pool, config, &list);
   } else {
     ExtendSubgroupList(dataset.descriptions, dataset.targets, pool, config,
                        &list);
@@ -196,8 +197,8 @@ TEST(ListMinerTest, TinyDatasetExhaustsWithoutRules) {
   EXPECT_TRUE(engine.rules.empty());
 
   SubgroupList naive = MakeEmptySubgroupList(dataset.targets, config.gain);
-  ExtendSubgroupListReference(dataset.descriptions, dataset.targets, pool,
-                              config, &naive);
+  reference::ExtendSubgroupListNaive(dataset.descriptions, dataset.targets,
+                                     pool, config, &naive);
   ExpectListsBitEqual(engine, naive, "tiny");
 }
 

@@ -25,23 +25,18 @@
 #include "datagen/water.hpp"
 #include "kernels/kernels.hpp"
 #include "pattern/patterns.hpp"
-#include "search/exhaustive_search.hpp"
+#include "reference/exhaustive_search.hpp"
 
 namespace sisd::search {
 namespace {
 
-/// The reference scorer the exhaustive DFS uses: free-function SI. The
-/// engine's fused masked path is documented bit-identical to it; the
-/// equivalence tests below assert exactly that, with EXPECT_EQ on doubles.
-QualityFunction MakeSiQuality(const model::BackgroundModel& model,
-                              const linalg::Matrix& y,
-                              const si::DescriptionLengthParams& dl) {
-  return [&model, &y, dl](const pattern::Intention& intention,
-                          const pattern::Extension& ext) {
-    const linalg::Vector mean = pattern::SubgroupMean(y, ext);
-    return si::ScoreLocation(model, ext, mean, intention.size(), dl).si;
-  };
-}
+using reference::ExhaustiveConfig;
+using reference::ExhaustiveResult;
+using reference::ExhaustiveSearch;
+using reference::MakeUnivariateSiBound;
+using reference::OptimisticBound;
+using reference::QualityFunction;
+using reference::SiLocationQuality;
 
 struct Scenario {
   std::string name;
@@ -92,7 +87,7 @@ TEST(OptimalSearchTest, MatchesExhaustiveOnAllFiveScenarios) {
     reference_config.max_depth = 2;
     reference_config.min_coverage = scenario.min_coverage;
     const QualityFunction quality =
-        MakeSiQuality(model.Value(), scenario.dataset.targets, dl);
+        SiLocationQuality(model.Value(), scenario.dataset.targets, dl);
     const ExhaustiveResult reference = ExhaustiveSearch(
         scenario.dataset.descriptions, pool, reference_config, quality);
     ASSERT_TRUE(reference.completed);
@@ -133,7 +128,7 @@ TEST(OptimalSearchTest, MatchesExhaustiveAtDepthThree) {
   reference_config.max_depth = 3;
   reference_config.min_coverage = 10;
   const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
+      SiLocationQuality(model.Value(), data.dataset.targets, dl);
   const ExhaustiveResult reference = ExhaustiveSearch(
       data.dataset.descriptions, pool, reference_config, quality);
   ASSERT_TRUE(reference.completed);
@@ -296,7 +291,7 @@ TEST(BoundAdmissibilityTest, RandomizedDifferentialWithTiesAndEdges) {
     model.status().CheckOK();
     const ConditionPool pool =
         ConditionPool::Build(data.dataset.descriptions, 4);
-    const QualityFunction quality = MakeSiQuality(model.Value(), y, dl);
+    const QualityFunction quality = SiLocationQuality(model.Value(), y, dl);
 
     for (const size_t min_cov : {size_t{1}, size_t{5}, size_t{25}}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " min_cov " +

@@ -10,12 +10,16 @@
 #include <gtest/gtest.h>
 
 #include "common/strings.hpp"
+#include "reference/callback_beam_search.hpp"
+#include "reference/exhaustive_search.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
-#include "search/exhaustive_search.hpp"
 
 namespace sisd::search {
 namespace {
+
+using reference::CallbackBeamSearch;
+using reference::QualityFunction;
 
 /// 200 rows x 12 numeric columns: a pool of ~96 conditions, so level 2
 /// generates thousands of candidates — plenty of work to interrupt.
@@ -58,7 +62,7 @@ TEST(TimeBudgetTest, ZeroBudgetStopsBeforeAnyWork) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config = WideConfig();
   config.time_budget_seconds = 0.0;
-  const SearchResult result = BeamSearch(
+  const SearchResult result = CallbackBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(0)));
   EXPECT_TRUE(result.hit_time_budget);
   EXPECT_EQ(result.num_evaluated, 0u);
@@ -71,7 +75,7 @@ TEST(TimeBudgetTest, ExpiryReturnsValidPartialRankedList) {
 
   // Reference: the unbudgeted search (fast scorer) for the total count.
   SearchConfig config = WideConfig();
-  const SearchResult full = BeamSearch(
+  const SearchResult full = CallbackBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(0)));
   ASSERT_FALSE(full.hit_time_budget);
   ASSERT_GT(full.num_evaluated, 1000u);
@@ -83,7 +87,7 @@ TEST(TimeBudgetTest, ExpiryReturnsValidPartialRankedList) {
   config.time_budget_seconds = 0.03;
   const auto start = std::chrono::steady_clock::now();
   const SearchResult partial =
-      BeamSearch(table, pool, config, CoverageQuality(delay));
+      CallbackBeamSearch(table, pool, config, CoverageQuality(delay));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -122,7 +126,7 @@ TEST(TimeBudgetTest, ExpiredSearchCountsOnlyScoredCandidates) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config = WideConfig();
   config.time_budget_seconds = 0.03;
-  const SearchResult partial = BeamSearch(
+  const SearchResult partial = CallbackBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(200)));
   ASSERT_TRUE(partial.hit_time_budget);
   // num_evaluated reflects work actually done: consistent with the elapsed
@@ -156,14 +160,14 @@ TEST(TimeBudgetTest, ExhaustiveSearchBoundsOvershootWithinOneChunk) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   ASSERT_GT(pool.size(), 600u);
 
-  ExhaustiveConfig config;
+  reference::ExhaustiveConfig config;
   config.max_depth = 2;
   config.min_coverage = 2;
   config.time_budget_seconds = 0.02;
   const auto delay = std::chrono::microseconds(700);
   const auto start = std::chrono::steady_clock::now();
-  const ExhaustiveResult result =
-      ExhaustiveSearch(table, pool, config, CoverageQuality(delay));
+  const reference::ExhaustiveResult result = reference::ExhaustiveSearch(
+      table, pool, config, CoverageQuality(delay));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

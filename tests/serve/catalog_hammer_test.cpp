@@ -8,6 +8,7 @@
 //  - the catalog ends balanced (all pins released once sessions close).
 
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,12 +44,22 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
   constexpr int kMiners = 3;
   constexpr int kRounds = 8;
   std::atomic<int> mined{0};
-  std::atomic<int> dropped{0};
   std::atomic<bool> failure{false};
+  std::atomic<bool> dropper_done{false};
+  std::mutex failure_mu;
+  std::string failure_text;  // the first unexpected status
+  const auto fail = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failure_mu);
+    if (!failure.exchange(true)) failure_text = what;
+  };
 
   std::vector<std::thread> threads;
   // Miner threads: open by ref (varying split counts race the artifact
-  // cache), mine, close. A NotFound open just means the dropper won.
+  // cache), mine, close. A NotFound open means the dropper won the race:
+  // the miner retries while the dropper runs, and once more after it has
+  // finished (it always ends with the dataset loaded), so every round
+  // mines exactly once. An opened session pins the dataset, so its mine
+  // and close must succeed.
   for (int t = 0; t < kMiners; ++t) {
     threads.emplace_back([&, t]() {
       for (int round = 0; round < kRounds; ++round) {
@@ -56,22 +67,31 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
         name += std::to_string(t);
         name += "_";
         name += std::to_string(round);
-        Result<SessionInfo> opened = manager.OpenRef(
-            name, "hammer", HammerConfig(2 + (t + round) % 3));
+        const auto open = [&]() {
+          return manager.OpenRef(name, "hammer",
+                                 HammerConfig(2 + (t + round) % 3));
+        };
+        Result<SessionInfo> opened = open();
+        bool dropper_was_done = false;
+        while (!opened.ok() &&
+               opened.status().code() == StatusCode::kNotFound &&
+               !dropper_was_done) {
+          dropper_was_done = dropper_done.load();
+          std::this_thread::yield();
+          opened = open();
+        }
         if (!opened.ok()) {
-          if (opened.status().code() != StatusCode::kNotFound) {
-            failure.store(true);
-          }
+          fail("open " + name + ": " + opened.status().ToString());
           continue;
         }
         Result<MineOutcome> outcome = manager.Mine(name, 1, std::nullopt);
         if (outcome.ok()) {
           mined.fetch_add(1);
-        } else if (outcome.status().code() != StatusCode::kNotFound) {
-          failure.store(true);
+        } else {
+          fail("mine " + name + ": " + outcome.status().ToString());
         }
         const Status closed = manager.Close(name, /*save=*/false, "");
-        if (!closed.ok()) failure.store(true);
+        if (!closed.ok()) fail("close " + name + ": " + closed.ToString());
       }
     });
   }
@@ -82,24 +102,24 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
     for (int round = 0; round < 2 * kRounds; ++round) {
       const Status drop = manager.catalog()->Drop("hammer");
       if (drop.ok()) {
-        dropped.fetch_add(1);
         data::Dataset again =
             datagen::MakeScenarioDataset("synthetic").Value();
         again.name = "hammer";
         Result<catalog::PinnedDataset> reloaded =
             manager.catalog()->Intern(std::move(again), /*pin=*/false, /*retain=*/true);
-        if (!reloaded.ok()) failure.store(true);
+        if (!reloaded.ok()) fail("reload: " + reloaded.status().ToString());
       } else if (drop.code() != StatusCode::kConflict &&
                  drop.code() != StatusCode::kNotFound) {
-        failure.store(true);
+        fail("drop: " + drop.ToString());
       }
       std::this_thread::yield();
     }
+    dropper_done.store(true);
   });
   for (std::thread& thread : threads) thread.join();
 
-  EXPECT_FALSE(failure.load());
-  EXPECT_GT(mined.load(), 0) << "storm never mined once";
+  EXPECT_FALSE(failure.load()) << failure_text;
+  EXPECT_EQ(mined.load(), kMiners * kRounds) << "a round never mined";
   // All sessions closed: no pins left, so a final drop must succeed.
   EXPECT_EQ(manager.Stats().sessions, 0u);
   EXPECT_TRUE(manager.catalog()->Drop("hammer").ok());

@@ -254,6 +254,9 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   // List-gain costs that would let a rule claim unearned compression.
   script += open_with(13, "\"list_beta\":-1e9");
   script += open_with(14, "\"list_alpha\":-5");
+  // A negative budget would fail every mine; NaN would ignore the budget.
+  script += open_with(15, "\"time_budget\":-5");
+  script += open_with(16, "\"time_budget\":\"NaN\"");
   script += std::string(kOpenLine) + "\n";
   script += "{\"id\":2,\"verb\":\"mine\",\"session\":\"s1\"}\n";
 
@@ -261,10 +264,10 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
   std::istringstream in(script);
   std::ostringstream out;
   const ServeLoopStats stats = ServeStream(manager, in, out);
-  EXPECT_EQ(stats.requests, 16u);
-  EXPECT_EQ(stats.errors, 14u) << out.str();
+  EXPECT_EQ(stats.requests, 18u);
+  EXPECT_EQ(stats.errors, 16u) << out.str();
   const std::vector<std::string> lines = SplitString(out.str(), '\n');
-  ASSERT_GE(lines.size(), 16u) << out.str();
+  ASSERT_GE(lines.size(), 18u) << out.str();
   EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos) << lines[0];
   EXPECT_NE(lines[0].find("beam_width must be >= 1"), std::string::npos);
   // The rejected `open` created no session.
@@ -290,8 +293,15 @@ TEST(ServeLoopTest, RejectsSearchConfigsTheSearchCannotRun) {
               std::string::npos)
         << lines[i];
   }
-  EXPECT_NE(lines[14].find("\"ok\":true"), std::string::npos) << lines[14];
-  EXPECT_NE(MinedLocation(lines[15]), "<error>") << lines[15];
+  for (size_t i = 14; i < 16; ++i) {
+    EXPECT_NE(lines[i].find("InvalidArgument"), std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("time budget must be >= 0 seconds"),
+              std::string::npos)
+        << lines[i];
+  }
+  EXPECT_NE(lines[16].find("\"ok\":true"), std::string::npos) << lines[16];
+  EXPECT_NE(MinedLocation(lines[17]), "<error>") << lines[17];
   EXPECT_EQ(manager.SessionNames(), std::vector<std::string>{"s1"});
 }
 

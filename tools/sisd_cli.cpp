@@ -519,6 +519,7 @@ Status RunOptimal(const Args& args) {
   config.min_coverage = min_cov;
   SISD_ASSIGN_OR_RETURN(
       budget, FlagDouble(args, "--time-budget", config.time_budget_seconds));
+  SISD_RETURN_NOT_OK(search::ValidateTimeBudget(budget));
   config.time_budget_seconds = budget;
   SISD_ASSIGN_OR_RETURN(threads,
                         FlagInt(args, "--threads", config.num_threads));
